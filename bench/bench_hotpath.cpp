@@ -336,16 +336,13 @@ void maintain_pause_stage(tt::BenchReport& report, const std::vector<State>& uni
 }
 
 /// EXP-OOC resident-footprint stage: intern the same unique set into the
-/// locked store (raw bodies), the plain lock-free store (sealed bodies stay
-/// resident, delta-compressed) and the fingerprint-only store (sealed
-/// bodies dropped, 8 bytes/state of fingerprints kept), then record
-/// memory_bytes() as the v7 resident_bytes column — the acceptance rows for
-/// `--store lockfree-fp` footprint claims.
+/// locked store (raw bodies) and the lock-free store (sealed bodies stay
+/// resident, delta-compressed), then record memory_bytes() as the v7
+/// resident_bytes column.
 void resident_bytes_stage(tt::BenchReport& report, const std::vector<State>& uniq) {
-  std::printf("=== resident footprint: locked vs lockfree vs lockfree-fp ===\n");
+  std::printf("=== resident footprint: locked vs lockfree ===\n");
   tt::TextTable t({"store", "states", "resident_bytes", "bytes/state"});
-  auto emit = [&](const char* store, std::size_t bytes, long long collisions,
-                  long long reexp) {
+  auto emit = [&](const char* store, std::size_t bytes) {
     tt::BenchRecord rec;
     rec.experiment = "hotpath/resident/unique_set";
     rec.engine = "seq";
@@ -353,8 +350,6 @@ void resident_bytes_stage(tt::BenchReport& report, const std::vector<State>& uni
     rec.verdict = "ok";
     rec.store = store;
     rec.resident_bytes = static_cast<long long>(bytes);
-    rec.fp_collisions = collisions;
-    rec.reexpansions = reexp;
     report.add(rec);
     t.add_row({store, std::to_string(uniq.size()), std::to_string(bytes),
                tt::strfmt("%.2f", uniq.size() ? static_cast<double>(bytes) / uniq.size() : 0)});
@@ -362,25 +357,20 @@ void resident_bytes_stage(tt::BenchReport& report, const std::vector<State>& uni
   {
     tt::ShardedStateIndexMap<kW> map(1);
     for (const State& s : uniq) map.insert_serial(s, tt::hash_words(s));
-    emit("locked", map.memory_bytes(), -1, -1);
+    emit("locked", map.memory_bytes());
   }
-  for (const bool fp : {false, true}) {
+  {
     tt::LockFreeStateIndexMap<kW> map(1);
-    if (fp) map.set_fingerprint_only(true);
     for (const State& s : uniq) map.insert_serial(s, tt::hash_words(s));
     // First maintain publishes the quiescent watermark; the second seals
-    // (and in fp mode drops) every full page below it.
+    // every full page below it.
     (void)map.quiescent_maintain();
     (void)map.quiescent_maintain();
-    const auto stats = map.store_stats();
-    emit(fp ? "lockfree-fp" : "lockfree", map.memory_bytes(),
-         fp ? static_cast<long long>(stats.fp_collisions) : -1,
-         fp ? static_cast<long long>(stats.reexpansions) : -1);
+    emit("lockfree", map.memory_bytes());
   }
   std::printf("%s", t.render().c_str());
-  std::printf("(all three stores hold the same interned set; lockfree seals pages\n"
-              " into delta-compressed bodies, lockfree-fp drops sealed bodies and\n"
-              " keeps 8-byte fingerprints, so the deltas are the body tiers.)\n\n");
+  std::printf("(both stores hold the same interned set; lockfree seals pages into\n"
+              " delta-compressed bodies, so the delta is the body tier.)\n\n");
 }
 
 /// The JSON rows: one timed pass per variant over the same stream, so the

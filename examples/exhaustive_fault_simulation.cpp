@@ -30,16 +30,17 @@
 //                           re-concretized against the raw model
 //     --threads <k>         worker threads for the parallel engine
 //                           (default: TTSTART_THREADS env, else all cores)
-//     --store <kind>        locked|lockfree|lockfree-fp explicit-state store
-//                           backend (default locked); lockfree is the
-//                           CAS-based store with closed-set compression and
-//                           write-behind spill; lockfree-fp additionally
-//                           drops sealed page bodies and keeps 64-bit
-//                           fingerprints, re-expanding predecessor paths on
-//                           collision (exact verdicts, DESIGN.md §3.9)
+//     --store <kind>        locked|lockfree explicit-state store backend
+//                           (default locked); lockfree is the CAS-based
+//                           store with closed-set compression and
+//                           write-behind spill (DESIGN.md §3.9)
 //     --mem-budget-mb <mb>  in-RAM budget for the lockfree store: sealed
 //                           compressed pages past the budget spill to disk
-//                           asynchronously; counts and verdicts stay exact
+//                           asynchronously; counts and verdicts stay exact.
+//                           Only lockfree runs of seq/par/auto on invariant
+//                           lemmas and of par/auto on liveness lemmas can
+//                           spill; any other run with a budget is a usage
+//                           error (exit 2)
 //     --spill-dir <path>    directory for the per-shard spill files
 //                           (default: TTSTART_SPILL_DIR, else TMPDIR, else
 //                           /tmp); an unwritable directory is a hard error,
@@ -215,13 +216,11 @@ int main(int argc, char** argv) {
     // spill_bytes / spill_async_pages columns to prove an out-of-core run
     // actually went through the write-behind pipeline.
     std::printf("store: %s  cas_retries=%zu pages_compressed=%zu spill_bytes=%zu "
-                "bloom_negatives=%zu spill_async_pages=%zu spill_sync_waits=%zu "
-                "fp_collisions=%zu reexpansions=%zu\n",
+                "bloom_negatives=%zu spill_async_pages=%zu spill_sync_waits=%zu\n",
                 mc::to_string(opts.store.kind), result.stats.cas_retries,
                 result.stats.pages_compressed, result.stats.spill_bytes,
                 result.stats.bloom_negatives, result.stats.spill_async_pages,
-                result.stats.spill_sync_waits, result.stats.fp_collisions,
-                result.stats.reexpansions);
+                result.stats.spill_sync_waits);
   }
   if (result.engine_used == mc::EngineKind::kParallel && !core::is_invariant_lemma(lemma)) {
     std::printf("owcty: trim_rounds=%zu residue_states=%zu\n", result.stats.trim_rounds,

@@ -126,8 +126,6 @@ def check_reduction_names(root, failures):
 
 
 def check_store_names(root, failures):
-    # Store names may contain '-' ("lockfree-fp"), so the name class is
-    # [\w-] rather than \w both here and in the alternation scan below.
     header = read(root, "src/mc/engine.hpp")
     stores = [m for m in re.findall(
         r'case StoreKind::k\w+:\s*return "([\w-]+)";', header)]

@@ -128,6 +128,8 @@ REDUCTION_NAMES_V4 = ("none", "sym")
 REDUCTION_NAMES_V6 = ("none", "sym", "por", "sym+por")
 POR_REDUCTIONS = ("por", "sym+por")
 STORE_NAMES_V5 = ("locked", "lockfree")
+# The fingerprint-only store is gone, but v7 reports written before its
+# removal still carry "lockfree-fp" rows, so the v7 name set keeps it.
 STORE_NAMES_V7 = ("locked", "lockfree", "lockfree-fp")
 
 SCHEMAS = (
@@ -334,7 +336,7 @@ def main():
         action="append",
         default=[],
         metavar="STORE",
-        help="store name ('locked'/'lockfree'/'lockfree-fp') that must have "
+        help="store name ('locked'/'lockfree') that must have "
         ">= 1 record (repeatable)",
     )
     args = parser.parse_args()

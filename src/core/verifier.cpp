@@ -130,6 +130,24 @@ VerificationResult verify_with_proof_engine(const tta::ClusterConfig& cfg, Lemma
   return out;
 }
 
+/// True when the run interns into a store that can spill: the lock-free
+/// store behind the BFS engines (seq/par/auto) on an invariant lemma, or
+/// behind the OWCTY engine (par/auto) on a liveness lemma. The lasso DFS has
+/// no quiescent point to spill at; the symbolic and proof engines keep no
+/// explicit store.
+bool store_can_spill(Lemma lemma, const VerifyOptions& opts) {
+  if (opts.store.kind != mc::StoreKind::kLockFree) return false;
+  switch (opts.engine) {
+    case mc::EngineKind::kAuto:
+    case mc::EngineKind::kParallel: return true;
+    case mc::EngineKind::kSequential: return is_invariant_lemma(lemma);
+    case mc::EngineKind::kSymbolic:
+    case mc::EngineKind::kKInduction:
+    case mc::EngineKind::kIc3: return false;
+  }
+  return false;
+}
+
 }  // namespace
 
 tta::ClusterConfig prepare_config(tta::ClusterConfig cfg, Lemma lemma) {
@@ -158,6 +176,9 @@ tta::ClusterConfig prepare_config(tta::ClusterConfig cfg, Lemma lemma) {
 
 VerificationResult verify(const tta::ClusterConfig& raw_cfg, Lemma lemma,
                           const VerifyOptions& opts) {
+  TT_REQUIRE(opts.store.mem_budget_bytes == 0 || store_can_spill(lemma, opts),
+             "a memory budget needs --store lockfree on seq/par/auto for invariant "
+             "lemmas or on par/auto for liveness lemmas");
   const tta::ClusterConfig cfg = prepare_config(raw_cfg, lemma);
   const bool reduced = opts.reduction != mc::ReductionKind::kNone;
   // Top-level span: one per verify() call, detail = lemma (static storage

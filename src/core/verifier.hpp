@@ -77,7 +77,9 @@ struct VerifyOptions {
   /// per-shard-mutex store; kLockFree is the CAS-based store that also
   /// compresses sealed BFS levels and, with store.mem_budget_bytes set,
   /// spills them to disk so beyond-RAM runs complete with exact counts.
-  /// Ignored by the symbolic engine. Verdicts, counts and traces are
+  /// Ignored by the symbolic engine. A nonzero budget on a run that cannot
+  /// spill (any store but lockfree, the seq liveness DFS, the sym/kind/ic3
+  /// engines) throws std::invalid_argument. Verdicts, counts and traces are
   /// bit-identical across backends.
   mc::StoreOptions store;
 };

@@ -113,35 +113,26 @@ enum class ReductionKind {
 /// kShardedLocked is the lock-striped ShardedStateIndexMap (one mutex per
 /// shard on the insert path); kLockFree is the CAS-claim LockFreeStateIndexMap
 /// with delta compression of the closed set and the write-behind out-of-core
-/// spill tier; kLockFreeFp is the same store in fingerprint-only mode
-/// (sealed page bodies dropped, 64-bit fingerprints kept, collisions
-/// resolved exactly by predecessor-path re-expansion — DESIGN.md §3.9).
-/// All encode ids identically, so verdicts, counts and traces are
-/// bit-identical between them at any thread count. The liveness engines
-/// need random access to every stored body (trimming, lasso extraction), so
-/// they run kLockFreeFp as plain kLockFree.
+/// spill tier (DESIGN.md §3.9). Both encode ids identically, so verdicts,
+/// counts and traces are bit-identical between them at any thread count.
 enum class StoreKind {
   kShardedLocked,
   kLockFree,
-  kLockFreeFp,
 };
 
-/// Canonical store name ("locked"/"lockfree"/"lockfree-fp"); static storage
-/// duration.
+/// Canonical store name ("locked"/"lockfree"); static storage duration.
 [[nodiscard]] constexpr const char* to_string(StoreKind k) noexcept {
   switch (k) {
     case StoreKind::kShardedLocked: return "locked";
     case StoreKind::kLockFree: return "lockfree";
-    case StoreKind::kLockFreeFp: return "lockfree-fp";
   }
   return "?";
 }
 
-/// Parses a store name ("locked", "lockfree", "lockfree-fp"); returns false
-/// and leaves `out` untouched on unknown names.
+/// Parses a store name ("locked", "lockfree"); returns false and leaves
+/// `out` untouched on unknown names.
 [[nodiscard]] inline bool parse_store(std::string_view name, StoreKind& out) noexcept {
-  for (const StoreKind k : {StoreKind::kShardedLocked, StoreKind::kLockFree,
-                            StoreKind::kLockFreeFp}) {
+  for (const StoreKind k : {StoreKind::kShardedLocked, StoreKind::kLockFree}) {
     if (name == to_string(k)) {
       out = k;
       return true;

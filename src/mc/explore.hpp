@@ -7,9 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "mc/engine.hpp"
@@ -23,8 +20,8 @@ namespace tt::mc::detail {
 
 /// Applies the StoreOptions dials a store supports; a no-op for stores
 /// without the corresponding hooks (StateIndexMap, ShardedStateIndexMap).
-/// Must run before the first insert: fingerprint-only mode and the spill
-/// directory are pre-insert dials.
+/// Must run before the first insert: the spill directory is a pre-insert
+/// dial.
 template <class Map>
 void apply_store_options(Map& seen, const StoreOptions& store) {
   if constexpr (requires { seen.set_mem_budget(std::size_t{}); }) {
@@ -32,9 +29,6 @@ void apply_store_options(Map& seen, const StoreOptions& store) {
   }
   if constexpr (requires { seen.set_spill_dir(std::string{}); }) {
     if (!store.spill_dir.empty()) seen.set_spill_dir(store.spill_dir);
-  }
-  if constexpr (requires { seen.set_fingerprint_only(true); }) {
-    if (store.kind == StoreKind::kLockFreeFp) seen.set_fingerprint_only(true);
   }
 }
 
@@ -71,7 +65,7 @@ void maintain_store(Map& seen, std::size_t expected_new) {
 
 /// Copies the store's cumulative counters into RunStats when it keeps any
 /// (the lock-free store's cas_retries / compression / spill / Bloom columns
-/// and the out-of-core pipeline's async/sync-wait/fp counters).
+/// and the out-of-core pipeline's async/sync-wait counters).
 template <class Map>
 void copy_store_stats(const Map& seen, RunStats& stats) {
   if constexpr (requires { seen.store_stats(); }) {
@@ -83,98 +77,8 @@ void copy_store_stats(const Map& seen, RunStats& stats) {
     if constexpr (requires { st.spill_async_pages; }) {
       stats.spill_sync_waits = st.spill_sync_waits;
       stats.spill_async_pages = st.spill_async_pages;
-      stats.fp_collisions = st.fp_collisions;
-      stats.reexpansions = st.reexpansions;
     }
   }
-}
-
-/// Installs the fingerprint-only store's exact-reconstruction hook
-/// (DESIGN.md §3.9): climb parent links to the nearest ancestor whose body
-/// is still readable (resident tier, pinned collision state, or memoized
-/// from an earlier replay), then replay the transition relation downwards,
-/// matching each step by (masked fingerprint, shard of the full hash).
-/// The match is unambiguous because the store pins — exactly — every stored
-/// state that shares a masked fingerprint with a distinct stored state, and
-/// chain members are by construction unpinned. Thread-safe: the memo is
-/// mutex-guarded and parent links of resolvable ids were published before
-/// the level barrier the resolving thread already passed.
-template <std::size_t W, class Map, class TS, class ParentOf>
-void install_reexpander(const TS& ts, Map& seen, ParentOf parent_of, std::uint32_t none) {
-  using State = std::array<std::uint64_t, W>;
-  struct Memo {
-    std::mutex mu;
-    std::unordered_map<std::uint32_t, State> states;
-  };
-  auto memo = std::make_shared<Memo>();
-  static constexpr std::size_t kMemoCap = std::size_t{1} << 20;
-  seen.set_resolver([&ts, &seen, parent_of, none, memo](std::uint32_t id,
-                                                        State& out) -> bool {
-    auto lookup = [&](std::uint32_t at, State& s) -> bool {
-      {
-        std::lock_guard<std::mutex> lk(memo->mu);
-        const auto it = memo->states.find(at);
-        if (it != memo->states.end()) {
-          s = it->second;
-          return true;
-        }
-      }
-      return seen.resident_state(at, s);
-    };
-    auto memoize = [&](std::uint32_t at, const State& s) {
-      std::lock_guard<std::mutex> lk(memo->mu);
-      if (memo->states.size() < kMemoCap) memo->states.emplace(at, s);
-    };
-    auto step_matches = [&](std::uint32_t child, const State& t) {
-      const std::uint64_t h = hash_words(t);
-      return (h & seen.fp_mask()) == seen.fingerprint_of(child) &&
-             seen.shard_of(h) == seen.shard_of_id(child);
-    };
-    std::vector<std::uint32_t> chain;
-    std::uint32_t at = id;
-    State cur{};
-    bool have = false;
-    while (true) {
-      if (lookup(at, cur)) {
-        have = true;
-        break;
-      }
-      chain.push_back(at);
-      const std::uint32_t p = parent_of(at);
-      if (p == none) break;
-      at = p;
-    }
-    if (!have) {
-      // The chain bottoms out at an initial state whose body was dropped:
-      // recover it by re-enumerating the (few) initial states.
-      const std::uint32_t init = chain.back();
-      chain.pop_back();
-      ts.initial_states([&](const State& s0) {
-        if (!have && step_matches(init, s0)) {
-          cur = s0;
-          have = true;
-        }
-      });
-      if (!have) return false;
-      memoize(init, cur);
-    }
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      const std::uint32_t child = *it;
-      bool found = false;
-      State nxt{};
-      ts.successors(cur, [&](const State& t) {
-        if (!found && step_matches(child, t)) {
-          nxt = t;
-          found = true;
-        }
-      });
-      if (!found) return false;
-      cur = nxt;
-      memoize(child, cur);
-    }
-    out = cur;
-    return true;
-  });
 }
 
 /// Sequential BFS working set: interned states, optional parent links and

@@ -225,13 +225,11 @@ template <TransitionSystem TS, class Pred>
 
 /// Store-dispatching F(goal): the DFS explores in the identical order under
 /// either store (dense ids, serial inserts), so results are bit-identical.
-/// Lasso extraction random-accesses every stored body, so lockfree-fp
-/// degrades to the plain lock-free store here (StoreKind doc in engine.hpp).
 template <TransitionSystem TS, class Pred>
 [[nodiscard]] LivenessResult<TS> check_eventually_store(const TS& ts, Pred&& goal,
                                                         const SearchLimits& limits,
                                                         const StoreOptions& store) {
-  if (store.kind == StoreKind::kLockFree || store.kind == StoreKind::kLockFreeFp) {
+  if (store.kind == StoreKind::kLockFree) {
     return detail::lasso_search<LockFreeStateIndexMap<TS::kWords>>(
         ts, goal, [&](auto&& visit) { ts.initial_states(visit); }, limits);
   }
@@ -306,12 +304,11 @@ template <TransitionSystem TS, class Pred>
 }
 
 /// Store-dispatching AG AF(goal); bit-identical results across stores.
-/// lockfree-fp degrades to plain lockfree (bodies needed for lasso roots).
 template <TransitionSystem TS, class Pred>
 [[nodiscard]] LivenessResult<TS> check_always_eventually_store(const TS& ts, Pred&& goal,
                                                                const SearchLimits& limits,
                                                                const StoreOptions& store) {
-  if (store.kind == StoreKind::kLockFree || store.kind == StoreKind::kLockFreeFp) {
+  if (store.kind == StoreKind::kLockFree) {
     return detail::check_always_eventually_impl<LockFreeStateIndexMap<TS::kWords>>(
         ts, std::forward<Pred>(goal), limits);
   }

@@ -645,15 +645,9 @@ template <TransitionSystem TS, class Pred>
 [[nodiscard]] LivenessResult<TS> owcty_liveness(const TS& ts, Pred&& goal,
                                                 const EngineOptions& opts,
                                                 bool roots_all_reachable) {
-  if (opts.store.kind == StoreKind::kLockFree || opts.store.kind == StoreKind::kLockFreeFp) {
-    // OWCTY trimming and lasso extraction random-access every stored body,
-    // so fingerprint-only mode degrades to the plain lock-free store here
-    // (StoreKind doc in mc/engine.hpp): normalize the kind before
-    // apply_store_options would enable body dropping.
-    EngineOptions normalized = opts;
-    normalized.store.kind = StoreKind::kLockFree;
+  if (opts.store.kind == StoreKind::kLockFree) {
     return owcty_liveness_impl<LockFreeStateIndexMap<TS::kWords>>(
-        ts, std::forward<Pred>(goal), normalized, roots_all_reachable);
+        ts, std::forward<Pred>(goal), opts, roots_all_reachable);
   }
   return owcty_liveness_impl<ShardedStateIndexMap<TS::kWords>>(
       ts, std::forward<Pred>(goal), opts, roots_all_reachable);

@@ -62,7 +62,6 @@
 #include "support/lockfree_state_index_map.hpp"
 #include "support/recent_cache.hpp"
 #include "support/sharded_state_index_map.hpp"
-#include "support/stable_vector.hpp"
 #include "support/timer.hpp"
 
 namespace tt::mc {
@@ -99,23 +98,9 @@ template <class Map, TransitionSystem TS, class Pred>
     seen.reserve(limits.max_states + limits.max_states / 8 + kShards);
   }
 
-  // Parent links live in StableVector, not std::vector: the fingerprint-only
-  // store's resolver walks parent chains from any worker mid-level, and a
-  // push_back reallocation under a concurrent reader is a use-after-free.
-  std::array<StableVector<std::uint32_t>, kShards> parent;  // local id -> parent global id
-  std::array<std::vector<std::uint32_t>, kShards> fresh;    // ids interned this level
-  std::array<std::uint32_t, kShards> shard_bad;             // min violating id per shard
-
-  if constexpr (requires { seen.fingerprint_only(); }) {
-    if (seen.fingerprint_only()) {
-      detail::install_reexpander<TS::kWords>(
-          ts, seen,
-          [&parent, &seen](std::uint32_t id) {
-            return parent[seen.shard_of_id(id)][seen.local_of_id(id)];
-          },
-          kNone);
-    }
-  }
+  std::array<std::vector<std::uint32_t>, kShards> parent;  // local id -> parent global id
+  std::array<std::vector<std::uint32_t>, kShards> fresh;   // ids interned this level
+  std::array<std::uint32_t, kShards> shard_bad;            // min violating id per shard
 
   struct Cand {
     State s;
@@ -375,7 +360,7 @@ template <class Map, TransitionSystem TS, class Pred>
   result.stats.states = seen.size();
   result.stats.depth = depth;
   result.stats.memory_bytes = seen.memory_bytes() + frontier.capacity() * sizeof(std::uint32_t);
-  for (const auto& p : parent) result.stats.memory_bytes += p.memory_bytes();
+  for (const auto& p : parent) result.stats.memory_bytes += p.capacity() * sizeof(std::uint32_t);
   for (const auto& c : ctx) {
     result.stats.hash_ops += c.hash_ops;
     result.stats.cache_hits += c.cache_hits;
@@ -408,7 +393,7 @@ template <class Map, TransitionSystem TS, class Pred>
 template <TransitionSystem TS, class Pred>
 [[nodiscard]] InvariantResult<TS> check_invariant_parallel(const TS& ts, Pred&& holds,
                                                            const EngineOptions& opts = {}) {
-  if (opts.store.kind == StoreKind::kLockFree || opts.store.kind == StoreKind::kLockFreeFp) {
+  if (opts.store.kind == StoreKind::kLockFree) {
     return detail::check_invariant_parallel_impl<LockFreeStateIndexMap<TS::kWords>>(
         ts, std::forward<Pred>(holds), opts);
   }

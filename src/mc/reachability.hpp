@@ -66,16 +66,6 @@ template <class Map, TransitionSystem TS, class Pred>
   InvariantResult<TS> result;
   detail::BfsCore<TS::kWords, Map> bfs(/*track_parents=*/true, limits);
   detail::apply_store_options(bfs.seen, store);
-  if constexpr (requires { bfs.seen.fingerprint_only(); }) {
-    // Fingerprint-only mode needs the exact-reconstruction hook before any
-    // page body drops; parent links are the BFS core's own vector (safe:
-    // this engine is single-threaded, so no push_back races the resolver).
-    if (bfs.seen.fingerprint_only()) {
-      detail::install_reexpander<TS::kWords>(
-          ts, bfs.seen, [&bfs](std::uint32_t x) { return bfs.parent[x]; },
-          detail::BfsCore<TS::kWords, Map>::kNoParent);
-    }
-  }
 
   bool violated = false;
   std::uint32_t bad_idx = 0;
@@ -173,7 +163,7 @@ template <TransitionSystem TS, class Pred>
 [[nodiscard]] InvariantResult<TS> check_invariant_store(const TS& ts, Pred&& holds,
                                                         const SearchLimits& limits,
                                                         const StoreOptions& store) {
-  if (store.kind == StoreKind::kLockFree || store.kind == StoreKind::kLockFreeFp) {
+  if (store.kind == StoreKind::kLockFree) {
     // One shard: BfsCore needs dense ids for its parent/queue bookkeeping.
     return detail::check_invariant_impl<LockFreeStateIndexMap<TS::kWords>>(
         ts, std::forward<Pred>(holds), limits, store);

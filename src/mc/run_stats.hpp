@@ -68,14 +68,9 @@ struct RunStats {
   /// locked store): `spill_async_pages` counts sealed pages handed to the
   /// write-behind I/O thread without blocking, `spill_sync_waits` the
   /// synchronous barriers taken when the budget was critically exceeded with
-  /// writes still in flight. Under `--store lockfree-fp`, `fp_collisions`
-  /// counts genuine fingerprint collisions (distinct states, equal masked
-  /// fingerprint — both get pinned exactly) and `reexpansions` the
-  /// predecessor-path replays that disambiguated a dropped-body match.
+  /// writes still in flight.
   std::size_t spill_sync_waits = 0;
   std::size_t spill_async_pages = 0;
-  std::size_t fp_collisions = 0;
-  std::size_t reexpansions = 0;
   /// Proof-engine instrumentation (bench schema v8; zero for every
   /// exploratory engine): `solver_calls` counts SAT solve() invocations on
   /// the run's single incremental solver (for bounded BMC exactly one per

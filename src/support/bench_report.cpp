@@ -69,8 +69,6 @@ std::string render_record(const std::string& bench, const BenchRecord& r) {
   // v7 optional columns (out-of-core pipeline runs, DESIGN.md §3.9).
   if (r.spill_sync_waits >= 0) line << ", \"spill_sync_waits\": " << r.spill_sync_waits;
   if (r.spill_async_pages >= 0) line << ", \"spill_async_pages\": " << r.spill_async_pages;
-  if (r.fp_collisions >= 0) line << ", \"fp_collisions\": " << r.fp_collisions;
-  if (r.reexpansions >= 0) line << ", \"reexpansions\": " << r.reexpansions;
   if (r.resident_bytes >= 0) line << ", \"resident_bytes\": " << r.resident_bytes;
   // v8 optional columns (SAT proof-engine runs, DESIGN.md §3.10).
   if (r.solver_calls >= 0) line << ", \"solver_calls\": " << r.solver_calls;

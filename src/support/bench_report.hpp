@@ -61,15 +61,11 @@ struct BenchRecord {
   long long pruned_combos = -1;
   long long proviso_fallbacks = -1;
   /// Out-of-core pipeline columns (schema v7; DESIGN.md §3.9): synchronous
-  /// barriers the write-behind pipeline had to take, sealed pages handed to
-  /// the I/O thread without blocking, genuine fingerprint collisions, and
-  /// predecessor-path re-expansions under `--store lockfree-fp`; plus the
-  /// store-resident byte footprint at run end. Negative = not applicable,
-  /// omitted from the JSON.
+  /// barriers the write-behind pipeline had to take and sealed pages handed
+  /// to the I/O thread without blocking; plus the store-resident byte
+  /// footprint at run end. Negative = not applicable, omitted from the JSON.
   long long spill_sync_waits = -1;
   long long spill_async_pages = -1;
-  long long fp_collisions = -1;
-  long long reexpansions = -1;
   long long resident_bytes = -1;
   /// Proof-engine columns (schema v8; DESIGN.md §3.10): SAT solve() calls on
   /// the run's single incremental solver (for bounded BMC exactly one per

@@ -1,13 +1,12 @@
 // LockFreeStateIndexMap: the lock-free, compressing, out-of-core sibling of
-// ShardedStateIndexMap — the storage layer behind `--store lockfree` and
-// `--store lockfree-fp`.
+// ShardedStateIndexMap — the storage layer behind `--store lockfree`.
 //
-// Four tiers, one interface:
+// Three tiers, one interface:
 //
 //   1. A lock-free open-addressed probe table. Each shard owns a power-of-two
 //      array of 64-bit atomic slots packing (fingerprint << 32) | id-field,
-//      where the fingerprint is the low 32 bits of the (masked) state hash
-//      and the id-field is local+1 (0 = empty, 0xffffffff = claimed).
+//      where the fingerprint is the low 32 bits of the state hash and the
+//      id-field is local+1 (0 = empty, 0xffffffff = claimed).
 //      Insertion is a claim protocol: CAS the empty slot to (fp, CLAIMED),
 //      allocate the next dense local id from the shard counter, write the
 //      packed state into the arena page, then release-store the final
@@ -36,20 +35,6 @@
 //      fingerprints absorbs definitely-absent membership probes. Runs whose
 //      closed set exceeds RAM finish with exact counts.
 //
-//   4. Opt-in fingerprint-only mode (`--store lockfree-fp`). Sealed page
-//      bodies are discarded entirely; only a 64-bit masked fingerprint per
-//      state survives (plus the Bloom front). A membership probe that
-//      matches a dropped-body fingerprint is *ambiguous*, so the store calls
-//      a caller-installed resolver that re-expands the stored state from its
-//      predecessor path and compares exactly. When the comparison reveals a
-//      genuine collision — two distinct states with equal masked
-//      fingerprints — BOTH states are pinned exactly in a side map, which
-//      keeps the replay disambiguation (match by masked fingerprint + shard
-//      of the full hash, pinned states excluded) unambiguous forever after.
-//      Verdicts and counts therefore stay exact, unlike classical hash
-//      compaction; the cost shows up as StoreStats::{fp_collisions,
-//      reexpansions}.
-//
 // Id encoding matches ShardedStateIndexMap exactly — id = (local <<
 // log2(shards)) | shard, shard routing from the top hash-bit window
 // (support/hash.hpp) — so verdicts, counts and extracted traces are
@@ -72,27 +57,23 @@
 //                       access), exactly like the sharded map's contract.
 //
 // Memory-order argument for the publication protocol: the claiming thread's
-// arena-page writes (plain stores, including the fingerprint side array) are
-// sequenced before its release-store of (fp, local+1); any reader that
-// observes the published word via an acquire load therefore sees the fully
-// written state, and — transitively through the page-directory CAS chain —
-// the page pointer that holds it. Claims are acquire-release CAS so a failed
-// claimer rereads a coherent slot value. Tier transitions (seal, drop, and
-// the sealed→spilled flip after a write becomes durable) happen only at
-// quiescent points, so the concurrent phases never observe one.
+// arena-page writes (plain stores) are sequenced before its release-store of
+// (fp, local+1); any reader that observes the published word via an acquire
+// load therefore sees the fully written state, and — transitively through the
+// page-directory CAS chain — the page pointer that holds it. Claims are
+// acquire-release CAS so a failed claimer rereads a coherent slot value. Tier
+// transitions (sealing, and the sealed→spilled flip after a write becomes
+// durable) happen only at quiescent points, so the concurrent phases never
+// observe one.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -121,11 +102,6 @@ class LockFreeStateIndexMap {
   static_assert((1u << kShardWindowBits) == kMaxShards,
                 "shard window must cover kMaxShards exactly");
 
-  /// Exact reconstruction hook for fingerprint-only mode: given the global
-  /// id of a state whose body was dropped, rebuild the state (typically by
-  /// replaying its predecessor path) into `out`. Must be thread-safe.
-  using Resolver = std::function<bool(std::uint32_t, State&)>;
-
   /// Cumulative counters, readable at quiescent points (store_stats()).
   struct StoreStats {
     std::size_t cas_retries = 0;       ///< failed claims + claimed-slot spins
@@ -135,9 +111,6 @@ class LockFreeStateIndexMap {
     std::size_t bloom_negatives = 0;   ///< finds short-circuited by the Bloom
     std::size_t spill_sync_waits = 0;  ///< synchronous write-behind barriers
     std::size_t spill_async_pages = 0; ///< pages enqueued without blocking
-    std::size_t pages_dropped = 0;     ///< fp-only: page bodies discarded
-    std::size_t fp_collisions = 0;     ///< fp-only: distinct states, equal fp
-    std::size_t reexpansions = 0;      ///< fp-only: resolver replays taken
   };
 
   /// What one quiescent_maintain() call did; engines wrap it in an obs span.
@@ -158,14 +131,11 @@ class LockFreeStateIndexMap {
     std::size_t slots = 0;         ///< probe tables across all shards
     std::size_t raw_pages = 0;     ///< uncompressed arena pages
     std::size_t sealed_pages = 0;  ///< delta streams + anchor tables
-    std::size_t fingerprints = 0;  ///< fp-only per-state fingerprint arrays
-    std::size_t pinned = 0;        ///< fp-only exact-pinned collision states
     std::size_t bloom = 0;
     std::size_t spill_writer = 0;  ///< ring + per-shard file metadata
 
     [[nodiscard]] std::size_t total() const noexcept {
-      return slots + raw_pages + sealed_pages + fingerprints + pinned + bloom +
-             spill_writer;
+      return slots + raw_pages + sealed_pages + bloom + spill_writer;
     }
   };
 
@@ -195,8 +165,6 @@ class LockFreeStateIndexMap {
   }
   /// Hash-once shard routing; `h` must equal `hash_words(s)`. Same top-bit
   /// window as ShardedStateIndexMap, so both stores assign identical ids.
-  /// Routing always uses the full hash — the fingerprint mask narrows only
-  /// what is *stored*, never where, so ids stay identical across modes.
   [[nodiscard]] unsigned shard_of(std::uint64_t h) const noexcept {
     return static_cast<unsigned>(h >> kShardHashShift) & shard_mask_;
   }
@@ -216,10 +184,9 @@ class LockFreeStateIndexMap {
   std::pair<std::uint32_t, bool> insert(const State& s, std::uint64_t h) {
     const unsigned shard_idx = shard_of(h);
     Shard& sh = shards_[shard_idx];
-    const std::uint32_t fp = static_cast<std::uint32_t>(h & fp_mask_);
+    const std::uint32_t fp = static_cast<std::uint32_t>(h);
     std::size_t slot = fp & sh.mask;
     std::size_t probes = 0;
-    bool collided = false;
     std::uint64_t v = sh.slots[slot].load(std::memory_order_acquire);
     while (true) {
       if (v == 0) {
@@ -240,17 +207,10 @@ class LockFreeStateIndexMap {
         }
         Page* pg = page_for_write(sh, shard_idx, local >> kPageBits);
         pg->raw[local & kPageOffMask] = s;
-        if (fp_mode_) pg->fps[local & kPageOffMask] = h & fp_mask_;
         sh.slots[slot].store((static_cast<std::uint64_t>(fp) << 32) | (local + 1),
                              std::memory_order_release);
         bloom_add(fp);
-        const std::uint32_t gid = id_of(shard_idx, local);
-        // A collision seen during the probe walk means this fresh state
-        // shares a masked fingerprint with a distinct stored state: pin it
-        // exactly so the replay disambiguation stays unambiguous after its
-        // own body is eventually dropped.
-        if (collided) pin_state(gid, s);
-        return {gid, true};
+        return {id_of(shard_idx, local), true};
       }
       if (static_cast<std::uint32_t>(v >> 32) == fp) {
         const std::uint32_t idf = static_cast<std::uint32_t>(v);
@@ -262,9 +222,7 @@ class LockFreeStateIndexMap {
           continue;
         }
         const std::uint32_t local = idf - 1;
-        const int m = matches(shard_idx, sh, local, s, h);
-        if (m > 0) return {id_of(shard_idx, local), false};
-        if (m < 0) collided = true;
+        if (state_equals(sh, local, s)) return {id_of(shard_idx, local), false};
       }
       if (++probes > sh.mask) {
         throw StateCapacityError(
@@ -288,28 +246,22 @@ class LockFreeStateIndexMap {
       grow_shard(sh, (sh.mask + 1) * 2);
       maybe_grow_bloom();
     }
-    const std::uint32_t fp = static_cast<std::uint32_t>(h & fp_mask_);
+    const std::uint32_t fp = static_cast<std::uint32_t>(h);
     std::size_t slot = fp & sh.mask;
-    bool collided = false;
     while (true) {
       const std::uint64_t v = sh.slots[slot].load(std::memory_order_relaxed);
       if (v == 0) {
         const std::uint32_t local = allocate_local(sh);
         Page* pg = page_for_write(sh, shard_idx, local >> kPageBits);
         pg->raw[local & kPageOffMask] = s;
-        if (fp_mode_) pg->fps[local & kPageOffMask] = h & fp_mask_;
         sh.slots[slot].store((static_cast<std::uint64_t>(fp) << 32) | (local + 1),
                              std::memory_order_relaxed);
         bloom_add(fp);
-        const std::uint32_t gid = id_of(shard_idx, local);
-        if (collided) pin_state(gid, s);
-        return {gid, true};
+        return {id_of(shard_idx, local), true};
       }
       if (static_cast<std::uint32_t>(v >> 32) == fp) {
         const std::uint32_t local = static_cast<std::uint32_t>(v) - 1;
-        const int m = matches(shard_idx, sh, local, s, h);
-        if (m > 0) return {id_of(shard_idx, local), false};
-        if (m < 0) collided = true;
+        if (state_equals(sh, local, s)) return {id_of(shard_idx, local), false};
       }
       slot = (slot + 1) & sh.mask;
     }
@@ -319,7 +271,7 @@ class LockFreeStateIndexMap {
 
   /// Hash-once lookup; Bloom-fronted, then the lock-free probe walk.
   [[nodiscard]] std::uint32_t find(const State& s, std::uint64_t h) const {
-    const std::uint32_t fp = static_cast<std::uint32_t>(h & fp_mask_);
+    const std::uint32_t fp = static_cast<std::uint32_t>(h);
     if (bloom_mask_ != 0 && !bloom_maybe(fp)) {
       bloom_negatives_.fetch_add(1, std::memory_order_relaxed);
       return kEmpty;
@@ -337,16 +289,15 @@ class LockFreeStateIndexMap {
           continue;  // in-flight insert of this fingerprint: wait it out
         }
         const std::uint32_t local = idf - 1;
-        if (matches(shard_idx, sh, local, s, h) > 0) return id_of(shard_idx, local);
+        if (state_equals(sh, local, s)) return id_of(shard_idx, local);
       }
       slot = (slot + 1) & sh.mask;
     }
   }
 
   /// Decoding read: raw pages are a direct load; sealed and spilled pages
-  /// reconstruct the state from the reference + delta stream; dropped pages
-  /// (fp-only mode) come back from the pinned map or the resolver. Returns
-  /// by value — callers bind a const reference or copy, both are fine.
+  /// reconstruct the state from the reference + delta stream. Returns by
+  /// value — callers bind a const reference or copy, both are fine.
   [[nodiscard]] State at(std::uint32_t id) const {
     const Shard& sh = shards_[id & shard_mask_];
     const std::uint32_t local = id >> shard_bits_;
@@ -354,16 +305,6 @@ class LockFreeStateIndexMap {
     const std::uint32_t off = local & kPageOffMask;
     if (pg->tier == kTierRaw) return pg->raw[off];
     State out;
-    if (pg->tier == kTierDropped) {
-      if (lookup_pinned(id, out)) return out;
-      TT_REQUIRE(resolver_ != nullptr,
-                 "LockFreeStateIndexMap: fingerprint-only read of a dropped "
-                 "state needs a re-expansion resolver");
-      reexpansions_.fetch_add(1, std::memory_order_relaxed);
-      const bool ok = resolver_(id, out);
-      TT_REQUIRE(ok, "LockFreeStateIndexMap: re-expansion failed to rebuild a state");
-      return out;
-    }
     decode_into(*pg, off, out);
     return out;
   }
@@ -385,16 +326,11 @@ class LockFreeStateIndexMap {
     MemoryBreakdown b;
     b.raw_pages = raw_bytes_.load(std::memory_order_relaxed);
     b.sealed_pages = sealed_bytes_;
-    b.fingerprints = fp_bytes_.load(std::memory_order_relaxed);
     for (unsigned s = 0; s <= shard_mask_; ++s) {
       b.slots += (shards_[s].mask + 1) * sizeof(std::uint64_t);
     }
     if (bloom_mask_ != 0) b.bloom = (bloom_mask_ + 1) / 8;
     if (writer_) b.spill_writer = writer_->memory_bytes();
-    {
-      std::lock_guard<std::mutex> lk(pinned_mu_);
-      b.pinned = pinned_.size() * (sizeof(State) + kPinnedNodeOverhead);
-    }
     return b;
   }
 
@@ -438,78 +374,10 @@ class LockFreeStateIndexMap {
   /// write-behind behavior). Bench baseline dial; off by default.
   void set_spill_synchronous(bool on) { spill_sync_ = on; }
 
-  /// Switches the store into fingerprint-only mode (`--store lockfree-fp`);
-  /// must be called before any insert. Honors TTSTART_FP_BITS (8..64) to
-  /// narrow the stored fingerprint — the collision-oracle tests use this to
-  /// force aliasing that a 64-bit fingerprint would essentially never hit.
-  void set_fingerprint_only(bool on) {
-    TT_REQUIRE(size() == 0, "fingerprint-only mode must precede all inserts");
-    fp_mode_ = on;
-    if (on) {
-      if (const char* bits = std::getenv("TTSTART_FP_BITS")) {
-        const long b = std::strtol(bits, nullptr, 10);
-        if (b >= 8 && b <= 64) set_fingerprint_bits(static_cast<unsigned>(b));
-      }
-    }
-  }
-
-  [[nodiscard]] bool fingerprint_only() const noexcept { return fp_mode_; }
-
-  /// Narrows the stored fingerprint to the low `bits` bits (test dial; the
-  /// default is the full 64-bit hash). Fingerprint-only mode only.
-  void set_fingerprint_bits(unsigned bits) {
-    TT_REQUIRE(fp_mode_ && size() == 0, "fingerprint width is an fp-mode pre-insert dial");
-    TT_REQUIRE(bits >= 8 && bits <= 64, "fingerprint width out of range");
-    fp_mask_ = bits >= 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << bits) - 1);
-  }
-
-  [[nodiscard]] std::uint64_t fp_mask() const noexcept { return fp_mask_; }
-
-  /// Installs the exact-reconstruction hook fingerprint-only mode needs once
-  /// pages start dropping. The engines install a predecessor-path replayer.
-  void set_resolver(Resolver r) { resolver_ = std::move(r); }
-
-  /// The stored masked fingerprint of `id`. Fingerprint-only mode only.
-  [[nodiscard]] std::uint64_t fingerprint_of(std::uint32_t id) const {
-    TT_ASSERT(fp_mode_);
-    const Shard& sh = shards_[id & shard_mask_];
-    const std::uint32_t local = id >> shard_bits_;
-    return page_for_read(sh, local >> kPageBits)->fps[local & kPageOffMask];
-  }
-
-  /// True when `id` can be read back without the resolver (raw/sealed/
-  /// spilled body, or pinned exactly after a collision).
-  [[nodiscard]] bool body_resident(std::uint32_t id) const {
-    const Shard& sh = shards_[id & shard_mask_];
-    const std::uint32_t local = id >> shard_bits_;
-    if (page_for_read(sh, local >> kPageBits)->tier != kTierDropped) return true;
-    State tmp;
-    return lookup_pinned(id, tmp);
-  }
-
-  /// Reads `id` back without consulting the resolver; false when the body
-  /// was dropped and the state is not pinned. The engines' replayers use
-  /// this as the recursion-free base of the predecessor walk.
-  [[nodiscard]] bool resident_state(std::uint32_t id, State& out) const {
-    const Shard& sh = shards_[id & shard_mask_];
-    const std::uint32_t local = id >> shard_bits_;
-    const Page* pg = page_for_read(sh, local >> kPageBits);
-    const std::uint32_t off = local & kPageOffMask;
-    if (pg->tier == kTierRaw) {
-      out = pg->raw[off];
-      return true;
-    }
-    if (pg->tier == kTierDropped) return lookup_pinned(id, out);
-    decode_into(*pg, off, out);
-    return true;
-  }
-
   [[nodiscard]] StoreStats store_stats() const noexcept {
     StoreStats st = stats_;
     st.cas_retries = cas_retries_.load(std::memory_order_relaxed);
     st.bloom_negatives = bloom_negatives_.load(std::memory_order_relaxed);
-    st.fp_collisions = fp_collisions_.load(std::memory_order_relaxed);
-    st.reexpansions = reexpansions_.load(std::memory_order_relaxed);
     return st;
   }
 
@@ -525,8 +393,7 @@ class LockFreeStateIndexMap {
   ///   3. Grows/rebuilds the Bloom filter toward 16 bits per state.
   ///   4. Seals every full arena page whose states predate the *previous*
   ///      quiescent point (the current frontier stays raw for fast expand
-  ///      reads) — delta-compressed under lockfree, body dropped outright
-  ///      under fingerprint-only mode.
+  ///      reads) and delta-compresses it.
   ///   5. Under a memory budget, enqueues sealed pages to the write-behind
   ///      thread and frees the oldest *durable* bodies while over budget;
   ///      takes the synchronous barrier only when still over budget with
@@ -553,17 +420,13 @@ class LockFreeStateIndexMap {
       sh.prev_quiescent = sh.count.load(std::memory_order_relaxed);
       while ((sh.sealed_pages + 1) * kPageStates <= sealable_limit) {
         Page* pg = page_for_read(sh, sh.sealed_pages);
-        if (fp_mode_) {
-          drop_page(*pg);
-        } else {
-          seal_page(*pg);
-          spill_queue_.push_back(pg);
-        }
+        seal_page(*pg);
+        spill_queue_.push_back(pg);
         ++sh.sealed_pages;
         ++out.pages_sealed;
       }
     }
-    if (!fp_mode_ && mem_budget_bytes_ != 0 && SpillWriter::platform_supported()) {
+    if (mem_budget_bytes_ != 0 && SpillWriter::platform_supported()) {
       // Write-behind: hand every newly sealed page to the I/O thread and
       // return; bodies stay resident (and readable) until their writes are
       // durable *and* a later maintain step frees them.
@@ -644,16 +507,11 @@ class LockFreeStateIndexMap {
   static constexpr std::uint32_t kAnchorShift = 3;  ///< random-access stride 8
   static constexpr std::uint32_t kAnchorEvery = 1u << kAnchorShift;
   static constexpr std::size_t kStateBytes = W * sizeof(std::uint64_t);
-  /// Per-entry bookkeeping charged for a pinned state (key + node overhead);
-  /// part of the memory_bytes() formula the accounting test pins.
-  static constexpr std::size_t kPinnedNodeOverhead =
-      sizeof(std::uint32_t) + 4 * sizeof(void*);
 
   enum Tier : std::uint8_t {
     kTierRaw = 0,
     kTierSealed = 1,
     kTierSpilled = 2,
-    kTierDropped = 3,  ///< fp-only: body gone, fingerprints remain
   };
 
   struct Page {
@@ -661,7 +519,6 @@ class LockFreeStateIndexMap {
     State ref{};                         ///< delta reference once sealed
     std::vector<std::uint8_t> packed;    ///< mask+delta stream while kTierSealed
     std::vector<std::uint32_t> anchors;  ///< stream offset of every 8th state
-    std::unique_ptr<std::uint64_t[]> fps;  ///< fp-only: masked fp per state
     std::uint64_t spill_off = 0;
     std::uint32_t spill_len = 0;
     unsigned owner = 0;     ///< owning shard = this page's spill file index
@@ -729,15 +586,10 @@ class LockFreeStateIndexMap {
       Page* fresh = new Page();
       fresh->raw = std::make_unique<State[]>(kPageStates);
       fresh->owner = shard_idx;
-      if (fp_mode_) fresh->fps = std::make_unique<std::uint64_t[]>(kPageStates);
       if (pe.compare_exchange_strong(pg, fresh, std::memory_order_acq_rel,
                                      std::memory_order_acquire)) {
         pg = fresh;
         raw_bytes_.fetch_add(kPageStates * sizeof(State), std::memory_order_relaxed);
-        if (fp_mode_) {
-          fp_bytes_.fetch_add(kPageStates * sizeof(std::uint64_t),
-                              std::memory_order_relaxed);
-        }
       } else {
         delete fresh;
       }
@@ -762,53 +614,6 @@ class LockFreeStateIndexMap {
     State tmp;
     decode_into(*pg, off, tmp);
     return tmp == s;
-  }
-
-  /// Exact membership verdict against stored `local`, all tiers and modes:
-  /// 1 = same state, 0 = different state, -1 = different state *sharing the
-  /// candidate's masked fingerprint* (fp-only mode; the stored state has
-  /// been pinned exactly and the caller must pin the candidate too once it
-  /// is interned). In fp-only mode a dropped body with a matching
-  /// fingerprint is ambiguous and goes through the resolver.
-  int matches(unsigned shard_idx, const Shard& sh, std::uint32_t local, const State& s,
-              std::uint64_t h) const {
-    if (!fp_mode_) return state_equals(sh, local, s) ? 1 : 0;
-    const Page* pg = page_for_read(sh, local >> kPageBits);
-    const std::uint32_t off = local & kPageOffMask;
-    if (pg->fps[off] != (h & fp_mask_)) return 0;
-    const std::uint32_t gid = id_of(shard_idx, local);
-    State stored;
-    if (pg->tier == kTierRaw) {
-      stored = pg->raw[off];
-    } else if (!lookup_pinned(gid, stored)) {
-      TT_REQUIRE(resolver_ != nullptr,
-                 "LockFreeStateIndexMap: fingerprint-only probe hit a dropped "
-                 "body with no re-expansion resolver installed");
-      reexpansions_.fetch_add(1, std::memory_order_relaxed);
-      const bool ok = resolver_(gid, stored);
-      TT_REQUIRE(ok, "LockFreeStateIndexMap: re-expansion failed to rebuild a state");
-    }
-    if (stored == s) return 1;
-    // Genuine collision. Pin the stored state *now* — even while its body is
-    // still resident — so the set of distinct states sharing a masked
-    // fingerprint within a shard is always fully pinned, which is what makes
-    // the replay disambiguation sound after later body drops.
-    fp_collisions_.fetch_add(1, std::memory_order_relaxed);
-    pin_state(gid, stored);
-    return -1;
-  }
-
-  void pin_state(std::uint32_t gid, const State& s) const {
-    std::lock_guard<std::mutex> lk(pinned_mu_);
-    pinned_.emplace(gid, s);
-  }
-
-  [[nodiscard]] bool lookup_pinned(std::uint32_t gid, State& out) const {
-    std::lock_guard<std::mutex> lk(pinned_mu_);
-    const auto it = pinned_.find(gid);
-    if (it == pinned_.end()) return false;
-    out = it->second;
-    return true;
   }
 
   // ---- delta codec -------------------------------------------------------
@@ -880,16 +685,6 @@ class LockFreeStateIndexMap {
     raw_bytes_.fetch_sub(kPageStates * sizeof(State), std::memory_order_relaxed);
     sealed_bytes_ += pg.packed.capacity() + pg.anchors.capacity() * sizeof(std::uint32_t);
     ++stats_.pages_compressed;
-  }
-
-  /// Fingerprint-only seal: the body is simply discarded. The per-state
-  /// fingerprints (pg.fps) and any pinned collision states carry the exact
-  /// membership semantics from here on.
-  void drop_page(Page& pg) {
-    pg.raw.reset();
-    pg.tier = kTierDropped;
-    raw_bytes_.fetch_sub(kPageStates * sizeof(State), std::memory_order_relaxed);
-    ++stats_.pages_dropped;
   }
 
   /// Frees the resident body of a page whose write-behind job is durable.
@@ -997,20 +792,11 @@ class LockFreeStateIndexMap {
   bool spill_sync_ = false;           ///< bench dial: wait for every spill
   std::vector<SpillWriter::Completion> harvest_buf_;
 
-  bool fp_mode_ = false;
-  std::uint64_t fp_mask_ = ~std::uint64_t{0};
-  Resolver resolver_;
-  mutable std::mutex pinned_mu_;
-  mutable std::unordered_map<std::uint32_t, State> pinned_;
-
   std::atomic<std::size_t> raw_bytes_{0};
-  std::atomic<std::size_t> fp_bytes_{0};
   std::size_t sealed_bytes_ = 0;
   StoreStats stats_;
   mutable std::atomic<std::size_t> cas_retries_{0};
   mutable std::atomic<std::size_t> bloom_negatives_{0};
-  mutable std::atomic<std::size_t> fp_collisions_{0};
-  mutable std::atomic<std::size_t> reexpansions_{0};
 
   // Joined in the destructor before the arena pages are freed — keep last so
   // any member-destruction order change cannot outlive the pages it reads.

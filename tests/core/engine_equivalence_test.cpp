@@ -313,6 +313,39 @@ VerificationResult run_store(const GridCell& cell, mc::EngineKind engine, int th
   return verify(cell_config(cell), cell.lemma, opts);
 }
 
+TEST(EngineEquivalenceStore, MemoryBudgetNeedsARunThatCanSpill) {
+  // Only the lock-free store spills, and only at the quiescent points of the
+  // BFS engines (seq/par on invariants) and of OWCTY (par on liveness). A
+  // budget on any other run would be ignored, so verify() rejects it.
+  struct Shape {
+    const char* name;
+    mc::EngineKind engine;
+    mc::StoreKind store;
+    Lemma lemma;
+    bool accepted;
+  };
+  const Shape shapes[] = {
+      {"locked", mc::EngineKind::kParallel, mc::StoreKind::kShardedLocked, Lemma::kSafety, false},
+      {"seq-liveness", mc::EngineKind::kSequential, mc::StoreKind::kLockFree, Lemma::kLiveness,
+       false},
+      {"sym", mc::EngineKind::kSymbolic, mc::StoreKind::kLockFree, Lemma::kSafety, false},
+      {"kind", mc::EngineKind::kKInduction, mc::StoreKind::kLockFree, Lemma::kSafety, false},
+      {"seq-safety", mc::EngineKind::kSequential, mc::StoreKind::kLockFree, Lemma::kSafety, true},
+      {"par-liveness", mc::EngineKind::kParallel, mc::StoreKind::kLockFree, Lemma::kLiveness,
+       true},
+  };
+  for (const Shape& sh : shapes) {
+    const GridCell cell{3, 2, true, sh.lemma};
+    if (sh.accepted) {
+      EXPECT_NO_THROW((void)run_store(cell, sh.engine, 2, sh.store, /*budget=*/1)) << sh.name;
+    } else {
+      EXPECT_THROW((void)run_store(cell, sh.engine, 2, sh.store, /*budget=*/1),
+                   std::invalid_argument)
+          << sh.name;
+    }
+  }
+}
+
 class EngineEquivalenceStore : public ::testing::TestWithParam<GridCell> {};
 
 TEST_P(EngineEquivalenceStore, LockFreeIsObservationallyIdenticalToLocked) {
@@ -337,32 +370,6 @@ TEST_P(EngineEquivalenceStore, LockFreeIsObservationallyIdenticalToLocked) {
     // regardless of store backend and thread count.
     EXPECT_EQ(lockfree.trace, base.trace) << "threads=" << threads;
     EXPECT_EQ(lockfree.loop_start, base.loop_start) << "threads=" << threads;
-  }
-}
-
-TEST_P(EngineEquivalenceStore, FingerprintOnlyIsObservationallyIdenticalToLocked) {
-  // The fingerprint-only store discards sealed page bodies and answers
-  // duplicate probes from fingerprints plus re-expansion — verdicts, counts
-  // and traces must still be byte-identical to the locked oracle at every
-  // thread count. The liveness cell exercises the documented degradation
-  // (OWCTY random-accesses every body, so lockfree-fp runs as plain
-  // lockfree there), which must be equally invisible.
-  const auto base =
-      run_store(GetParam(), mc::EngineKind::kParallel, 1, mc::StoreKind::kShardedLocked);
-  for (int threads : {1, 2, 4}) {
-    const auto locked =
-        run_store(GetParam(), mc::EngineKind::kParallel, threads, mc::StoreKind::kShardedLocked);
-    const auto fp =
-        run_store(GetParam(), mc::EngineKind::kParallel, threads, mc::StoreKind::kLockFreeFp);
-    EXPECT_EQ(fp.holds, base.holds) << "threads=" << threads << ": " << fp.verdict_text;
-    EXPECT_EQ(fp.verdict_text, locked.verdict_text) << "threads=" << threads;
-    EXPECT_EQ(fp.exhausted, locked.exhausted) << "threads=" << threads;
-    EXPECT_EQ(fp.stats.states, locked.stats.states) << "threads=" << threads;
-    EXPECT_EQ(fp.stats.transitions, locked.stats.transitions) << "threads=" << threads;
-    EXPECT_EQ(fp.stats.frontier_sizes, locked.stats.frontier_sizes) << "threads=" << threads;
-    EXPECT_EQ(fp.stats.hash_ops, locked.stats.hash_ops) << "threads=" << threads;
-    EXPECT_EQ(fp.trace, base.trace) << "threads=" << threads;
-    EXPECT_EQ(fp.loop_start, base.loop_start) << "threads=" << threads;
   }
 }
 
@@ -603,13 +610,12 @@ TEST(EngineEquivalenceStore, BeyondRamRunMatchesInRamCountsExactly) {
   EXPECT_EQ(in_ram.stats.spill_bytes, 0u) << "unconstrained run must stay in RAM";
 }
 
-TEST(EngineEquivalenceStore, AllThreeStoreModesAgreeOnFig6N6BeyondRam) {
+TEST(EngineEquivalenceStore, LockFreeBeyondRamAgreesWithLockedOnFig6N6) {
   // The acceptance cell: fig. 6 at n=6 (~202k states) under a 1-byte memory
   // budget. The locked in-RAM run is the oracle; lockfree pushes every
-  // sealed page through the write-behind pipeline and evicts it; lockfree-fp
-  // discards sealed bodies outright and re-derives dropped states on demand.
-  // All three must agree bit for bit — out-of-core is a memory tier, never
-  // an approximation.
+  // sealed page through the write-behind pipeline and evicts it. Both must
+  // agree bit for bit — out-of-core is a memory tier, never an
+  // approximation.
   const GridCell cell{6, 6, true, Lemma::kSafety};
   const auto locked =
       run_store(cell, mc::EngineKind::kParallel, 4, mc::StoreKind::kShardedLocked);
@@ -617,20 +623,14 @@ TEST(EngineEquivalenceStore, AllThreeStoreModesAgreeOnFig6N6BeyondRam) {
   ASSERT_TRUE(locked.holds) << locked.verdict_text;
   const auto spilled =
       run_store(cell, mc::EngineKind::kParallel, 4, mc::StoreKind::kLockFree, /*budget=*/1);
-  const auto fp =
-      run_store(cell, mc::EngineKind::kParallel, 4, mc::StoreKind::kLockFreeFp, /*budget=*/1);
-  for (const auto* r : {&spilled, &fp}) {
-    EXPECT_EQ(r->holds, locked.holds) << r->verdict_text;
-    EXPECT_EQ(r->exhausted, locked.exhausted);
-    EXPECT_EQ(r->stats.states, locked.stats.states);
-    EXPECT_EQ(r->stats.transitions, locked.stats.transitions);
-    EXPECT_EQ(r->stats.frontier_sizes, locked.stats.frontier_sizes);
-    EXPECT_EQ(r->stats.hash_ops, locked.stats.hash_ops);
-  }
+  EXPECT_EQ(spilled.holds, locked.holds) << spilled.verdict_text;
+  EXPECT_EQ(spilled.exhausted, locked.exhausted);
+  EXPECT_EQ(spilled.stats.states, locked.stats.states);
+  EXPECT_EQ(spilled.stats.transitions, locked.stats.transitions);
+  EXPECT_EQ(spilled.stats.frontier_sizes, locked.stats.frontier_sizes);
+  EXPECT_EQ(spilled.stats.hash_ops, locked.stats.hash_ops);
   EXPECT_GT(spilled.stats.spill_async_pages, 0u) << "write-behind must carry the spill";
   EXPECT_GT(spilled.stats.spill_bytes, 0u);
-  EXPECT_GT(fp.stats.reexpansions, 0u)
-      << "dropped bodies must be re-derived by replay, not assumed distinct";
 }
 
 TEST(EngineEquivalenceStore, WriterDeviceFullStarBurstsOutOfTheWorkerPool) {
@@ -647,33 +647,6 @@ TEST(EngineEquivalenceStore, WriterDeviceFullStarBurstsOutOfTheWorkerPool) {
   ::unsetenv("TTSTART_SPILL_FAIL_AFTER");
 }
 
-TEST(EngineEquivalenceStore, NarrowFingerprintCollisionsStayExact) {
-  // TTSTART_FP_BITS=16 masks every fingerprint down to 16 bits, so with
-  // ~202k states genuine collisions are guaranteed in every shard. The
-  // collision path — pin both bodies, disambiguate later duplicates by
-  // parent-chain replay — must keep the verdict and every count exactly
-  // equal to the locked oracle: narrow fingerprints degrade to slower,
-  // never to wrong.
-  const GridCell cell{6, 6, true, Lemma::kSafety};
-  const auto locked =
-      run_store(cell, mc::EngineKind::kParallel, 4, mc::StoreKind::kShardedLocked);
-  ASSERT_TRUE(locked.holds) << locked.verdict_text;
-  ::setenv("TTSTART_FP_BITS", "16", 1);
-  const auto fp_seq =
-      run_store(cell, mc::EngineKind::kSequential, 1, mc::StoreKind::kLockFreeFp);
-  const auto fp_par =
-      run_store(cell, mc::EngineKind::kParallel, 4, mc::StoreKind::kLockFreeFp);
-  ::unsetenv("TTSTART_FP_BITS");
-  for (const auto* r : {&fp_seq, &fp_par}) {
-    EXPECT_EQ(r->holds, locked.holds) << r->verdict_text;
-    EXPECT_EQ(r->exhausted, locked.exhausted);
-    EXPECT_EQ(r->stats.states, locked.stats.states);
-    EXPECT_EQ(r->stats.transitions, locked.stats.transitions);
-    EXPECT_EQ(r->stats.frontier_sizes, locked.stats.frontier_sizes);
-    EXPECT_GT(r->stats.fp_collisions, 0u) << "16-bit masks must collide at this scale";
-    EXPECT_GT(r->stats.reexpansions, 0u);
-  }
-}
 #endif  // TT_LFSIM_HAS_SPILL
 
 }  // namespace

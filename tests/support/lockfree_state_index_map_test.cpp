@@ -397,13 +397,12 @@ TEST(LockFreeStateIndexMap, MemoryBytesIsExactlyTheBreakdownSum) {
   (void)map.quiescent_maintain();
   (void)map.quiescent_maintain();
   const auto b = map.memory_breakdown();
-  EXPECT_EQ(map.memory_bytes(), b.slots + b.raw_pages + b.sealed_pages + b.fingerprints +
-                                    b.pinned + b.bloom + b.spill_writer);
+  EXPECT_EQ(map.memory_bytes(),
+            b.slots + b.raw_pages + b.sealed_pages + b.bloom + b.spill_writer);
   EXPECT_EQ(map.memory_bytes(), b.total());
   EXPECT_GT(b.slots, 0u);
   EXPECT_GT(b.raw_pages, 0u);
   EXPECT_GT(b.sealed_pages, 0u);
-  EXPECT_EQ(b.fingerprints, 0u);  // not in fp mode
 #if TT_LFSIM_HAS_SPILL
   // With a budget, the write-behind machinery itself must be counted.
   Map2 budgeted;
@@ -415,67 +414,6 @@ TEST(LockFreeStateIndexMap, MemoryBytesIsExactlyTheBreakdownSum) {
   EXPECT_GT(bb.spill_writer, 0u);
   EXPECT_EQ(budgeted.memory_bytes(), bb.total());
 #endif
-}
-
-// The fingerprint-collision oracle: a 12-bit fingerprint over 9000 states
-// forces masses of genuine collisions (distinct states, equal masked
-// fingerprint). With a shadow resolver standing in for the engines'
-// predecessor-path replay, membership and ids must stay exact — collisions
-// get pinned, ambiguous matches get re-expanded, and nothing is ever
-// conflated (the difference between this store and classical hash
-// compaction).
-TEST(LockFreeStateIndexMap, FingerprintOnlyNarrowMaskStaysExact) {
-  constexpr std::uint64_t kStates = 9000;
-  Map2 map;  // one shard: dense ids index the shadow directly
-  map.set_fingerprint_only(true);
-  map.set_fingerprint_bits(12);
-  std::vector<Map2::State> shadow;
-  map.set_resolver([&shadow](std::uint32_t id, Map2::State& out) {
-    if (id >= shadow.size()) return false;
-    out = shadow[id];
-    return true;
-  });
-
-  for (std::uint64_t i = 0; i < kStates; ++i) {
-    const auto s = make_state(i * 11, i ^ 0x1234);
-    const auto [id, fresh] = map.insert_serial(s);
-    ASSERT_TRUE(fresh) << "i=" << i;
-    ASSERT_EQ(id, shadow.size()) << "i=" << i;
-    shadow.push_back(s);
-  }
-  (void)map.quiescent_maintain();
-  (void)map.quiescent_maintain();  // drops every full page body
-  auto st = map.store_stats();
-  EXPECT_GT(st.pages_dropped, 0u);
-  EXPECT_GT(st.fp_collisions, 0u) << "12-bit fps over 9000 states must collide";
-  EXPECT_EQ(st.pages_compressed, 0u);  // fp mode drops instead of sealing
-
-  // Exact membership for everything inserted, against dropped bodies.
-  for (std::uint64_t i = 0; i < kStates; ++i) {
-    const auto s = make_state(i * 11, i ^ 0x1234);
-    ASSERT_EQ(map.find(s), static_cast<std::uint32_t>(i)) << "i=" << i;
-    ASSERT_EQ(map.at(static_cast<std::uint32_t>(i)), s) << "i=" << i;
-  }
-  EXPECT_GT(map.store_stats().reexpansions, 0u);
-
-  // Duplicates are still duplicates; aliasing-but-distinct states are fresh.
-  for (std::uint64_t i = 0; i < kStates; i += 57) {
-    EXPECT_FALSE(map.insert_serial(make_state(i * 11, i ^ 0x1234)).second);
-  }
-  for (std::uint64_t i = 0; i < 2000; ++i) {
-    const auto s = make_state(500000 + i, ~i);
-    const auto [id, fresh] = map.insert_serial(s);
-    ASSERT_TRUE(fresh) << "i=" << i;
-    ASSERT_EQ(id, shadow.size());
-    shadow.push_back(s);
-  }
-  EXPECT_EQ(map.size(), kStates + 2000);
-
-  // The fp arrays and pins show up in the accounting.
-  const auto b = map.memory_breakdown();
-  EXPECT_GT(b.fingerprints, 0u);
-  EXPECT_GT(b.pinned, 0u);
-  EXPECT_EQ(map.memory_bytes(), b.total());
 }
 
 TEST(LockFreeStateIndexMap, MaxStatesCapThrowsOnBothInsertPaths) {

@@ -1,39 +1,38 @@
 #!/usr/bin/env python3
 """Validate a ttstart-bench report file (BENCH_results.json).
 
-Accepts schema v1 through v7. v2 adds two optional per-record fields emitted
-by symbolic-engine runs: `iterations` (image/BFS steps to the fixpoint) and
-`peak_live_nodes` (peak live BDD nodes). v3 adds two more, emitted by
-parallel OWCTY liveness runs: `trim_rounds` (trimming sweeps to the fixpoint)
-and `residue_states` (goal-free states left alive afterwards). v4 adds the
-symmetry-reduction columns: `reduction` ("none"/"sym"), `canon_ops`
-(canonicalization operations on the emission path), `orbit_states` (orbit
-representatives stored by a reduced run), `reduction_ratio`
-(states(unreduced)/states(reduced) when the paired baseline ran), and the
-caveat flag `possibly_one_core` (true when a multi-threaded row may have run
-on a single hardware core, so its speedup is not meaningful). v5 adds the
-explicit-store columns: `store` ("locked"/"lockfree"), `cas_retries`
-(failed slot claims on the lock-free insert path), and `spill_bytes`
-(compressed bytes evicted out of core). v6 extends the `reduction` names
-with "por" and "sym+por" and adds the partial-order-reduction columns
-(DESIGN.md 3.8): `ample_sets` (emissions whose independence gate was open),
-`pruned_combos` (emissions redirected to the clamped-horizon
-representative), and `proviso_fallbacks` (emissions declined into full
-expansion). v7 extends the `store` names with "lockfree-fp" and adds the
-out-of-core pipeline columns (DESIGN.md 3.9): `spill_sync_waits`
-(synchronous barriers the write-behind pipeline had to take),
-`spill_async_pages` (sealed pages handed to the I/O thread without
-blocking), `fp_collisions` (genuine fingerprint collisions under
-fingerprint-only mode), `reexpansions` (predecessor-path replays that
-disambiguated a dropped-body match), and `resident_bytes` (store-resident
-footprint at run end). v8 adds the SAT proof-engine columns (DESIGN.md
-3.10): `solver_calls` (solve() invocations on the run's single incremental
-solver — for bounded BMC exactly one per depth probed), `clauses_reused`
-(learned clauses carried across those calls), `frames` (IC3 frame count /
-k-induction unrolling depth), and `proof_obligations` (IC3 obligation-queue
-pops). Optional numeric fields must be non-negative when present; all
-optional fields are rejected under schemas older than the one that
-introduced them.
+Accepts schemas v7 and v8: the committed report is v7 and the benches
+write v8. Both allow these optional per-record fields:
+- symbolic-engine runs: `iterations` (image/BFS steps to the fixpoint) and
+  `peak_live_nodes` (peak live BDD nodes);
+- parallel OWCTY liveness runs: `trim_rounds` (trimming sweeps to the
+  fixpoint) and `residue_states` (goal-free states left alive afterwards);
+- reductions: `reduction` ("none"/"sym"/"por"/"sym+por"), `canon_ops`
+  (canonicalization operations on the emission path), `orbit_states` (orbit
+  representatives stored by a reduced run), `reduction_ratio`
+  (states(unreduced)/states(reduced) when the paired baseline ran), and the
+  caveat flag `possibly_one_core` (true when a multi-threaded row may have
+  run on a single hardware core, so its speedup is not meaningful);
+- partial-order reduction (DESIGN.md 3.8): `ample_sets` (emissions whose
+  independence gate was open), `pruned_combos` (emissions redirected to the
+  clamped-horizon representative), and `proviso_fallbacks` (emissions
+  declined into full expansion);
+- explicit stores: `store` ("locked"/"lockfree", and "lockfree-fp" in
+  reports written before that store was removed), `cas_retries` (failed slot
+  claims on the lock-free insert path), `spill_bytes` (compressed bytes
+  evicted out of core), and the out-of-core pipeline columns (DESIGN.md
+  3.9): `spill_sync_waits` (synchronous barriers the write-behind pipeline
+  had to take), `spill_async_pages` (sealed pages handed to the I/O thread
+  without blocking), `fp_collisions`, `reexpansions` (counters of the
+  removed fingerprint-only store), and `resident_bytes` (store-resident
+  footprint at run end).
+v8 adds the SAT proof-engine columns (DESIGN.md 3.10): `solver_calls`
+(solve() invocations on the run's single incremental solver — for bounded
+BMC exactly one per depth probed), `clauses_reused` (learned clauses
+carried across those calls), `frames` (IC3 frame count / k-induction
+unrolling depth), and `proof_obligations` (IC3 obligation-queue pops).
+Optional numeric fields must be non-negative when present; the v8 fields
+are rejected under v7.
 
 Checks the envelope, the per-record field set and types, and basic value
 sanity (non-negative counts/times, verdict non-empty, threads >= 1). With
@@ -50,7 +49,7 @@ experiment name contains SUBSTR ran on ENGINE — CI uses
 fall back off the parallel engine. With --require-reduction LIST (a comma
 list of reduction names, e.g. `sym,por,sym+por`), fails unless every named
 reduction has at least one record carrying its `canon_ops` and
-`orbit_states` columns (por/sym+por rows must additionally carry the v6
+`orbit_states` columns (por/sym+por rows must additionally carry the
 `ample_sets`/`pruned_combos`/`proviso_fallbacks` columns) — CI uses this so
 neither the symmetry-quotient nor the partial-order-reduced rows can
 silently drop out of the sweep. With --require-store, fails unless at least
@@ -77,71 +76,47 @@ REQUIRED_FIELDS = {
     "verdict": str,
 }
 
-# Optional per-record fields by the schema version that introduced them;
-# typed when present, rejected under older schemas.
-OPTIONAL_FIELDS_V2 = {
+# Optional per-record fields by schema; typed when present, rejected under
+# a schema that does not list them.
+OPTIONAL_FIELDS_V7 = {
     "iterations": int,
     "peak_live_nodes": int,
-}
-OPTIONAL_FIELDS_V3 = {
-    **OPTIONAL_FIELDS_V2,
     "trim_rounds": int,
     "residue_states": int,
-}
-OPTIONAL_FIELDS_V4 = {
-    **OPTIONAL_FIELDS_V3,
     "reduction": str,
     "canon_ops": int,
     "orbit_states": int,
     "reduction_ratio": (int, float),
     "possibly_one_core": bool,
-}
-OPTIONAL_FIELDS_V5 = {
-    **OPTIONAL_FIELDS_V4,
     "store": str,
     "cas_retries": int,
     "spill_bytes": int,
-}
-OPTIONAL_FIELDS_V6 = {
-    **OPTIONAL_FIELDS_V5,
     "ample_sets": int,
     "pruned_combos": int,
     "proviso_fallbacks": int,
-}
-OPTIONAL_FIELDS_V7 = {
-    **OPTIONAL_FIELDS_V6,
     "spill_sync_waits": int,
     "spill_async_pages": int,
     "fp_collisions": int,
     "reexpansions": int,
     "resident_bytes": int,
 }
-OPTIONAL_FIELDS_V8 = {
-    **OPTIONAL_FIELDS_V7,
-    "solver_calls": int,
-    "clauses_reused": int,
-    "frames": int,
-    "proof_obligations": int,
+OPTIONAL_FIELDS = {
+    "ttstart-bench-v7": OPTIONAL_FIELDS_V7,
+    "ttstart-bench-v8": {
+        **OPTIONAL_FIELDS_V7,
+        "solver_calls": int,
+        "clauses_reused": int,
+        "frames": int,
+        "proof_obligations": int,
+    },
 }
+SCHEMAS = tuple(OPTIONAL_FIELDS)
 
-REDUCTION_NAMES_V4 = ("none", "sym")
-REDUCTION_NAMES_V6 = ("none", "sym", "por", "sym+por")
+REDUCTION_NAMES = ("none", "sym", "por", "sym+por")
 POR_REDUCTIONS = ("por", "sym+por")
-STORE_NAMES_V5 = ("locked", "lockfree")
-# The fingerprint-only store is gone, but v7 reports written before its
-# removal still carry "lockfree-fp" rows, so the v7 name set keeps it.
-STORE_NAMES_V7 = ("locked", "lockfree", "lockfree-fp")
-
-SCHEMAS = (
-    "ttstart-bench-v1",
-    "ttstart-bench-v2",
-    "ttstart-bench-v3",
-    "ttstart-bench-v4",
-    "ttstart-bench-v5",
-    "ttstart-bench-v6",
-    "ttstart-bench-v7",
-    "ttstart-bench-v8",
-)
+# The fingerprint-only store is gone, but reports written before its removal
+# still carry "lockfree-fp" rows, so the name set keeps it.
+STORE_NAMES = ("locked", "lockfree", "lockfree-fp")
 
 
 def validate(doc, require, require_engines, require_engine_for, require_reduction,
@@ -152,32 +127,7 @@ def validate(doc, require, require_engines, require_engine_for, require_reductio
     schema = doc.get("schema")
     if schema not in SCHEMAS:
         errors.append(f"schema is {schema!r}, expected one of {SCHEMAS!r}")
-    if schema == "ttstart-bench-v8":
-        allowed_optional = OPTIONAL_FIELDS_V8
-    elif schema == "ttstart-bench-v7":
-        allowed_optional = OPTIONAL_FIELDS_V7
-    elif schema == "ttstart-bench-v6":
-        allowed_optional = OPTIONAL_FIELDS_V6
-    elif schema == "ttstart-bench-v5":
-        allowed_optional = OPTIONAL_FIELDS_V5
-    elif schema == "ttstart-bench-v4":
-        allowed_optional = OPTIONAL_FIELDS_V4
-    elif schema == "ttstart-bench-v3":
-        allowed_optional = OPTIONAL_FIELDS_V3
-    elif schema == "ttstart-bench-v2":
-        allowed_optional = OPTIONAL_FIELDS_V2
-    else:
-        allowed_optional = {}
-    reduction_names = (
-        REDUCTION_NAMES_V6
-        if schema in ("ttstart-bench-v6", "ttstart-bench-v7", "ttstart-bench-v8")
-        else REDUCTION_NAMES_V4
-    )
-    store_names = (
-        STORE_NAMES_V7
-        if schema in ("ttstart-bench-v7", "ttstart-bench-v8")
-        else STORE_NAMES_V5
-    )
+    allowed_optional = OPTIONAL_FIELDS.get(schema, {})
     results = doc.get("results")
     if not isinstance(results, list):
         return errors + ["'results' is missing or not an array"]
@@ -215,15 +165,15 @@ def validate(doc, require, require_engines, require_engine_for, require_reductio
                     f"{where}: optional field '{field}' has type "
                     f"{type(v).__name__}, expected {ftype}"
                 )
-            elif field == "reduction" and v not in reduction_names:
+            elif field == "reduction" and v not in REDUCTION_NAMES:
                 errors.append(
                     f"{where}: reduction is {v!r}, "
-                    f"expected one of {reduction_names!r}"
+                    f"expected one of {REDUCTION_NAMES!r}"
                 )
-            elif field == "store" and v not in store_names:
+            elif field == "store" and v not in STORE_NAMES:
                 errors.append(
                     f"{where}: store is {v!r}, "
-                    f"expected one of {store_names!r}"
+                    f"expected one of {STORE_NAMES!r}"
                 )
             elif isinstance(v, (int, float)) and not isinstance(v, bool) and v < 0:
                 errors.append(f"{where}: optional field '{field}' < 0")
@@ -252,7 +202,7 @@ def validate(doc, require, require_engines, require_engine_for, require_reductio
             and isinstance(rec.get("canon_ops"), int)
             and isinstance(rec.get("orbit_states"), int)
         ):
-            # por/sym+por rows only count as present when they carry the v6
+            # por/sym+por rows only count as present when they carry the
             # partial-order columns too — a row that lost them would hide a
             # stats-plumbing regression.
             if reduction not in POR_REDUCTIONS or all(
@@ -282,10 +232,10 @@ def validate(doc, require, require_engines, require_engine_for, require_reductio
                 f"'{engine}'"
             )
     for name in require_reduction:
-        if name not in REDUCTION_NAMES_V6 or name == "none":
+        if name not in REDUCTION_NAMES or name == "none":
             errors.append(
                 f"--require-reduction: unknown reduction {name!r}, expected "
-                f"one of {[n for n in REDUCTION_NAMES_V6 if n != 'none']!r}"
+                f"one of {[n for n in REDUCTION_NAMES if n != 'none']!r}"
             )
         elif name not in seen_reductions:
             errors.append(

@@ -25,8 +25,11 @@ using mc_test::ToySystem;
 std::size_t expected_candidates(const std::vector<std::uint64_t>& initial,
                                 const std::vector<std::vector<std::uint64_t>>& adj) {
   std::vector<bool> reached(adj.size(), false);
-  std::vector<std::uint64_t> queue = initial;
-  for (auto v : initial) reached[v] = true;
+  std::vector<std::uint64_t> queue;
+  for (auto v : initial) {
+    if (!reached[v]) queue.push_back(v);
+    reached[v] = true;
+  }
   std::size_t emissions = initial.size();
   for (std::size_t head = 0; head < queue.size(); ++head) {
     for (auto t : adj[queue[head]]) {
@@ -59,22 +62,31 @@ TEST(HashOnce, SequentialBfsHashesEachCandidateExactlyOnce) {
 }
 
 TEST(HashOnce, ParallelBfsHashesEachCandidateExactlyOnceAtEveryThreadCount) {
-  const std::vector<std::uint64_t> initial = {0, 4};
-  const std::vector<std::vector<std::uint64_t>> adj = {
-      {1, 2}, {2, 3}, {3, 3}, {0, 4}, {4, 1}};
-  const std::size_t expected = expected_candidates(initial, adj);
-  ToySystem ts(initial, adj);
-  for (int threads : {1, 2, 4}) {
-    EngineOptions opts;
-    opts.threads = threads;
-    auto r = check_invariant_parallel(
-        ts, [](const ToySystem::State&) { return true; }, opts);
-    ASSERT_EQ(r.verdict, Verdict::kHolds) << "threads=" << threads;
-    EXPECT_EQ(r.stats.hash_ops, expected) << "threads=" << threads;
-    EXPECT_EQ(r.stats.hash_ops, r.stats.transitions + initial.size())
-        << "threads=" << threads;
-    EXPECT_EQ(r.stats.dup_transitions, r.stats.hash_ops - r.stats.states)
-        << "threads=" << threads;
+  struct Graph {
+    std::vector<std::uint64_t> initial;
+    std::vector<std::vector<std::uint64_t>> adj;
+  };
+  const std::vector<Graph> graphs = {
+      {{0, 4}, {{1, 2}, {2, 3}, {3, 3}, {0, 4}, {4, 1}}},
+      // Duplicate initial-state emissions count as duplicate transitions too.
+      {{0, 0, 2}, {{1}, {2}, {0}}},
+  };
+  for (std::size_t g = 0; g < graphs.size(); ++g) {
+    const auto& [initial, adj] = graphs[g];
+    const std::size_t expected = expected_candidates(initial, adj);
+    ToySystem ts(initial, adj);
+    for (int threads : {1, 2, 4}) {
+      EngineOptions opts;
+      opts.threads = threads;
+      auto r = check_invariant_parallel(
+          ts, [](const ToySystem::State&) { return true; }, opts);
+      ASSERT_EQ(r.verdict, Verdict::kHolds) << "graph=" << g << " threads=" << threads;
+      EXPECT_EQ(r.stats.hash_ops, expected) << "graph=" << g << " threads=" << threads;
+      EXPECT_EQ(r.stats.hash_ops, r.stats.transitions + initial.size())
+          << "graph=" << g << " threads=" << threads;
+      EXPECT_EQ(r.stats.dup_transitions, r.stats.hash_ops - r.stats.states)
+          << "graph=" << g << " threads=" << threads;
+    }
   }
 }
 

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "mc/parallel_liveness.hpp"
 #include "mc/reachability.hpp"
 #include "toy_system.hpp"
 
@@ -100,24 +101,42 @@ TEST(ParallelReachability, CountReachableMatchesSequential) {
   }
 }
 
-TEST(ParallelReachability, AgreesWithSequentialOnRandomGraphs) {
-  // Pseudo-random sparse digraphs; compare verdict / states / trace length.
-  std::uint64_t seed = 42;
-  auto next = [&seed] {
-    seed ^= seed << 13;
-    seed ^= seed >> 7;
-    seed ^= seed << 17;
-    return seed;
-  };
-  for (int round = 0; round < 20; ++round) {
+/// Pseudo-random sparse digraphs of 200..499 vertices with min_degree..3
+/// out-edges each, drawn from one xorshift stream.
+class RandomGraphs {
+ public:
+  explicit RandomGraphs(int min_degree) : min_degree_(min_degree) {}
+
+  std::uint64_t next() {
+    seed_ ^= seed_ << 13;
+    seed_ ^= seed_ >> 7;
+    seed_ ^= seed_ << 17;
+    return seed_;
+  }
+
+  std::vector<std::vector<std::uint64_t>> graph() {
     const std::uint64_t n = 200 + next() % 300;
     std::vector<std::vector<std::uint64_t>> adj(n);
     for (std::uint64_t v = 0; v < n; ++v) {
-      const int degree = static_cast<int>(next() % 4);
+      const int degree = min_degree_ + static_cast<int>(next() % (4 - min_degree_));
       for (int e = 0; e < degree; ++e) adj[v].push_back(next() % n);
     }
+    return adj;
+  }
+
+ private:
+  std::uint64_t seed_ = 42;
+  int min_degree_;
+};
+
+TEST(ParallelReachability, AgreesWithSequentialOnRandomGraphs) {
+  // Compare verdict / states / trace length.
+  RandomGraphs graphs(/*min_degree=*/0);
+  for (int round = 0; round < 20; ++round) {
+    const auto adj = graphs.graph();
+    const std::uint64_t n = adj.size();
     ToySystem ts({0}, adj);
-    const std::uint64_t bad = next() % n;
+    const std::uint64_t bad = graphs.next() % n;
     auto pred = [bad](const ToySystem::State& s) { return s[0] != bad; };
     auto seq = check_invariant(ts, pred);
     for (int t : {1, 2, 4}) {
@@ -130,6 +149,28 @@ TEST(ParallelReachability, AgreesWithSequentialOnRandomGraphs) {
         ASSERT_EQ(par.stats.depth, seq.stats.depth);
         ASSERT_EQ(par.stats.frontier_sizes, seq.stats.frontier_sizes);
       }
+    }
+  }
+}
+
+TEST(ParallelReachability, OwctyMaterializationRunsTheSameSearch) {
+  // Both parallel engines run one frontier core: with a goal that never
+  // holds, OWCTY's AG AF phase A sweeps the whole reachable graph exactly
+  // like the invariant engine's reachable-state count. Every vertex has a
+  // successor, so no goal-free deadlock stops the sweep early.
+  RandomGraphs graphs(/*min_degree=*/1);
+  auto never = [](const ToySystem::State&) { return false; };
+  for (int round = 0; round < 20; ++round) {
+    ToySystem ts({0}, graphs.graph());
+    for (int t : {1, 2, 4}) {
+      const auto count = count_reachable_parallel(ts, with_threads(t));
+      const auto owcty = check_always_eventually_parallel(ts, never, with_threads(t));
+      ASSERT_EQ(owcty.verdict, LivenessVerdict::kCycle) << "round=" << round << " threads=" << t;
+      EXPECT_EQ(owcty.stats.states, count.states) << "round=" << round << " threads=" << t;
+      EXPECT_EQ(owcty.stats.transitions, count.transitions) << "round=" << round;
+      EXPECT_EQ(owcty.stats.hash_ops, count.hash_ops) << "round=" << round;
+      EXPECT_EQ(owcty.stats.dup_transitions, count.dup_transitions) << "round=" << round;
+      EXPECT_EQ(owcty.stats.frontier_sizes, count.frontier_sizes) << "round=" << round;
     }
   }
 }

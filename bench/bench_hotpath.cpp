@@ -85,8 +85,23 @@ std::vector<State> candidate_stream(const tt::tta::Cluster& cluster,
   return stream;
 }
 
+/// The successor-enumeration cells: fault 0 puts the Byzantine node at
+/// id 0, the fastest digit of the kernel's node-choice odometer; fault 1 at
+/// id n-1, the slowest; fault 2 replaces it by a faulty hub 0, whose
+/// per-port relay options, not the node's output pairs, fan out a step.
+tt::tta::ClusterConfig enumeration_config(int n, int fault) {
+  tt::tta::ClusterConfig cfg = hotpath_config(n);
+  if (fault == 1) cfg.faulty_node = n - 1;
+  if (fault == 2) {
+    cfg.faulty_node = tt::tta::ClusterConfig::kNone;
+    cfg.faulty_hub = 0;
+  }
+  return cfg;
+}
+
 void BM_SuccessorEnumeration(benchmark::State& state) {
-  const tt::tta::Cluster cluster(hotpath_config(static_cast<int>(state.range(0))));
+  const tt::tta::Cluster cluster(enumeration_config(static_cast<int>(state.range(0)),
+                                                    static_cast<int>(state.range(1))));
   const auto all = reachable_states(cluster);
   std::size_t transitions = 0;
   for (auto _ : state) {
@@ -105,7 +120,14 @@ void BM_SuccessorEnumeration(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(transitions) * state.iterations(),
                          benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_SuccessorEnumeration)->Arg(3)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SuccessorEnumeration)
+    ->ArgNames({"n", "fault"})
+    ->Args({3, 0})
+    ->Args({3, 1})
+    ->Args({3, 2})
+    ->Args({4, 0})
+    ->Args({4, 1})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_InternFlat(benchmark::State& state) {
   const tt::tta::Cluster cluster(hotpath_config(4));

@@ -28,8 +28,9 @@
 //                           ample-set clamp quotient (DESIGN.md §3.8),
 //                           sym+por composes both; counterexamples are
 //                           re-concretized against the raw model
-//     --threads <k>         worker threads for the parallel engine
-//                           (default: TTSTART_THREADS env, else all cores)
+//     --threads <k>         worker threads for the parallel engine, k >= 0
+//                           (default or 0: TTSTART_THREADS env, else all
+//                           cores)
 //     --store <kind>        locked|lockfree explicit-state store backend
 //                           (default locked); lockfree is the CAS-based
 //                           store with closed-set compression and
@@ -49,8 +50,10 @@
 //                           Perfetto) of the run
 //     --progress <sec>      print a heartbeat line every <sec> seconds
 //     --quiet               suppress heartbeat lines (tracing unaffected)
+#include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <system_error>
 #include <stdexcept>
 #include <string>
 
@@ -99,10 +102,14 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    // The whole token must be a decimal integer: "abc" and "3x" are usage
+    // errors, not 0 and 3.
     auto next_int = [&](int& out) {
       if (i + 1 >= argc) return false;
-      out = std::atoi(argv[++i]);
-      return true;
+      const char* first = argv[++i];
+      const char* last = first + std::strlen(first);
+      const auto [end, ec] = std::from_chars(first, last, out);
+      return ec == std::errc{} && end == last;
     };
     if (arg == "--n") {
       if (!next_int(cfg.n)) return usage();
@@ -124,7 +131,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--no-bigbang") {
       cfg.big_bang = false;
     } else if (arg == "--threads") {
-      if (!next_int(opts.threads)) return usage();
+      if (!next_int(opts.threads) || opts.threads < 0) return usage();
     } else if (arg == "--engine") {
       if (i + 1 >= argc) return usage();
       if (!mc::parse_engine(argv[++i], opts.engine)) return usage();

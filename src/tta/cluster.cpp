@@ -1,6 +1,9 @@
 #include "tta/cluster.hpp"
 
 #include <algorithm>
+#include <new>
+#include <span>
+#include <type_traits>
 
 #include "support/assert.hpp"
 #include "support/bitpack.hpp"
@@ -31,14 +34,15 @@ Cluster::Cluster(ClusterConfig cfg, Reduction reduction) : cfg_(cfg), reduction_
 
   int bits = 0;
   bits += cfg_.n * (3 + counter_bits_ + pos_bits_ + 1);
-  node_bits_ = bits;
   for (int h = 0; h < 2; ++h) {
+    hub_off_[h] = bits;
     if (cfg_.hub_is_faulty(h)) {
       bits += 3 + 2 * cfg_.n + cfg_.n * frame_bits_;
     } else {
       bits += 3 + counter_bits_ + pos_bits_ + cfg_.n + frame_bits_;
     }
   }
+  hub_off_[2] = bits;
   bits += st_bits_;
   bits += restart_bits_;
   TT_REQUIRE(bits <= static_cast<int>(kWords * 64), "state exceeds packed capacity");
@@ -54,34 +58,41 @@ void Cluster::pack_node_prefix(State& s, const NodeVars* nodes) const {
     w.put(v.pos, pos_bits_);
     w.put(v.big_bang ? 1 : 0, 1);
   }
-  TT_ASSERT(w.bits_written() == node_bits_);
+  TT_ASSERT(w.bits_written() == hub_off_[0]);
 }
 
-void Cluster::pack_hub_suffix(State& s, const HubVars& h0, const HubVars& h1,
-                              std::uint8_t startup_time, std::uint8_t restarts_used) const {
-  BitWriter w(s.data(), kWords, node_bits_);
+void Cluster::pack_hub(State& s, int h, const HubVars& v) const {
+  BitWriter w(s.data(), kWords, hub_off_[h]);
   auto put_frame = [&](const Frame& f) {
     w.put_fast(static_cast<std::uint64_t>(f.kind), 2);
     w.put_fast(f.time, pos_bits_);
     w.put_fast(f.ok ? 1 : 0, 1);
   };
-  const HubVars* hubs[2] = {&h0, &h1};
-  for (int h = 0; h < 2; ++h) {
-    const HubVars& v = *hubs[h];
-    w.put_fast(static_cast<std::uint64_t>(v.state), 3);
-    if (cfg_.hub_is_faulty(h)) {
-      w.put_fast(v.pattern, 2 * cfg_.n);
-      for (int j = 0; j < cfg_.n; ++j) put_frame(v.out_per_port[j]);
-    } else {
-      w.put_fast(v.counter, counter_bits_);
-      w.put_fast(v.slot_pos, pos_bits_);
-      w.put_fast(v.locks, cfg_.n);
-      put_frame(v.out);
-    }
+  w.put_fast(static_cast<std::uint64_t>(v.state), 3);
+  if (cfg_.hub_is_faulty(h)) {
+    w.put_fast(v.pattern, 2 * cfg_.n);
+    for (int j = 0; j < cfg_.n; ++j) put_frame(v.out_per_port[j]);
+  } else {
+    w.put_fast(v.counter, counter_bits_);
+    w.put_fast(v.slot_pos, pos_bits_);
+    w.put_fast(v.locks, cfg_.n);
+    put_frame(v.out);
   }
+  TT_ASSERT(w.bits_written() == hub_off_[h + 1]);
+}
+
+void Cluster::pack_tail(State& s, std::uint8_t startup_time, std::uint8_t restarts_used) const {
+  BitWriter w(s.data(), kWords, hub_off_[2]);
   if (st_bits_ > 0) w.put_fast(startup_time, st_bits_);
   if (restart_bits_ > 0) w.put_fast(restarts_used, restart_bits_);
   TT_ASSERT(w.bits_written() == state_bits_);
+}
+
+void Cluster::pack_hub_suffix(State& s, const HubVars& h0, const HubVars& h1,
+                              std::uint8_t startup_time, std::uint8_t restarts_used) const {
+  pack_hub(s, 0, h0);
+  pack_hub(s, 1, h1);
+  pack_tail(s, startup_time, restarts_used);
 }
 
 Cluster::State Cluster::pack(const ClusterState& c) const {
@@ -207,37 +218,61 @@ void Cluster::initial_states(Emit emit) const {
 
 namespace {
 
-/// Sink for the generic (unpacked) consumers: materializes a full
-/// ClusterState per emission — the pre-optimization behaviour, kept for the
-/// trace printer and interactive examples.
-struct UnpackSink {
-  const ClusterConfig& cfg;
-  Cluster::EmitUnpacked emit;
-  const NodeVars* nodes = nullptr;
+/// Faulty-node frames on one channel, at most (Fig. 3 degree 6: 2n + 3).
+constexpr int kMaxFrames = 2 * kMaxNodes + 3;
+/// Relay options of one hub, at most: one per eligible port for a correct
+/// hub; no source, interlink replay and one per active port for a faulty one.
+constexpr int kMaxRelay = kMaxNodes + 2;
+/// Sets of the direct-mapped hub-part cache of one hub. A set holds the two
+/// state options of one (frame, relay option, interlink) key, so the parts
+/// a single (r0, r1) step looks up never evict each other.
+constexpr int kPartSets = 64;
+static_assert(kMaxFrames <= 32 && (2 * kPartSets) % 64 == 0, "fill masks are too narrow");
 
-  void combo(const NodeVars* next_nodes) { nodes = next_nodes; }
-
-  void successor(const HubVars& h0, const HubVars& h1, std::uint8_t startup_time,
-                 std::uint8_t restarts_used) {
-    ClusterState t;
-    for (int i = 0; i < cfg.n; ++i) t.node[i] = nodes[i];
-    t.hub[0] = h0;
-    t.hub[1] = h1;
-    t.startup_time = startup_time;
-    t.restarts_used = restarts_used;
-    emit(t);
-  }
+/// Storage the memo writes before it reads: default-constructing its
+/// arrays on every call would cost more than a small step saves.
+template <class T>
+union Uninit {
+  static_assert(std::is_trivially_copyable_v<T> && std::is_trivially_destructible_v<T>);
+  Uninit() noexcept {}
+  T& emplace() noexcept { return *::new (&value) T{}; }
+  T value;
 };
+
+/// Six bits that identify a frame: kind, time (< kMaxNodes), ok.
+constexpr unsigned frame_code(const Frame& f) noexcept {
+  return static_cast<unsigned>(f.kind) | (static_cast<unsigned>(f.time) << 2) |
+         (f.ok ? 32u : 0u);
+}
 
 }  // namespace
 
+/// An entry is valid while its bit is set in the fill masks, and starting a
+/// group clears the masks, so a call initializes only those few words.
+struct Cluster::StepMemo {
+  /// Relay phase per (hub, index of the faulty node's frame on its channel):
+  /// option count, and for a correct hub every decision.
+  std::uint32_t relay_filled[2] = {};
+  std::uint8_t relay_count[2][kMaxFrames];
+  Uninit<RelayDecision> relay[2][kMaxFrames][kMaxNodes];
+  /// Hub parts per (hub, cache slot) with the key they were computed for.
+  std::uint64_t part_filled[2][2 * kPartSets / 64] = {};
+  std::uint16_t part_key[2][2 * kPartSets];
+  Uninit<HubPart> part[2][2 * kPartSets];
+
+  void begin_group() noexcept {
+    for (int h = 0; h < 2; ++h) {
+      relay_filled[h] = 0;
+      for (std::uint64_t& m : part_filled[h]) m = 0;
+    }
+  }
+};
+
 void Cluster::successors(const State& s, Emit emit) const {
   // Prefix-sharing packer: the node fields occupy a fixed prefix of the bit
-  // layout, and one node-choice combination is shared by every hub-phase
-  // variant (at fault degree 6 the faulty node alone contributes ~(2n+3)^2
-  // combinations, each usually with a single hub variant — but the prefix
-  // serialization still amortizes the 4n per-node puts down to one memcpy of
-  // kWords words per emission).
+  // layout and each hub a fixed field after it, so the node prefix is packed
+  // once per group and every unreduced emission is the OR of the prefix,
+  // two memoized hub parts and the startup/restart tail.
   struct PackSink {
     const Cluster& cl;
     Emit& emit;
@@ -256,11 +291,13 @@ void Cluster::successors(const State& s, Emit emit) const {
       }
     }
 
-    void successor(const HubVars& h0, const HubVars& h1, std::uint8_t startup_time,
+    void successor(const HubPart& h0, const HubPart& h1, std::uint8_t startup_time,
                    std::uint8_t restarts_used) {
+      const State* base = &prefix;
+      State clamped_prefix;
       if (por != nullptr) {
         int cap = 0;
-        const auto o = por->decide(plan, h0, h1, restarts_used, cap);
+        const auto o = por->decide(plan, h0.vars, h1.vars, restarts_used, cap);
         if (o == PartialOrderReducer::Outcome::kDeclined) {
           ++stats.proviso_fallbacks;
         } else {
@@ -270,17 +307,16 @@ void Cluster::successors(const State& s, Emit emit) const {
             NodeVars clamped[kMaxNodes];
             for (int i = 0; i < cl.cfg_.n; ++i) clamped[i] = nodes[i];
             por->clamp(plan, cap, clamped);
-            State t{};
-            cl.pack_node_prefix(t, clamped);
-            cl.pack_hub_suffix(t, h0, h1, startup_time, restarts_used);
-            emit(t);
-            return;
+            clamped_prefix = State{};
+            cl.pack_node_prefix(clamped_prefix, clamped);
+            base = &clamped_prefix;
           }
         }
       }
-      State s = prefix;
-      cl.pack_hub_suffix(s, h0, h1, startup_time, restarts_used);
-      emit(s);
+      State t;
+      for (std::size_t w = 0; w < kWords; ++w) t[w] = (*base)[w] | h0.bits[w] | h1.bits[w];
+      cl.pack_tail(t, startup_time, restarts_used);
+      emit(t);
     }
   };
 
@@ -318,11 +354,11 @@ void Cluster::successors(const State& s, Emit emit) const {
       if (por != nullptr) por->prepare(canon_nodes, plan);
     }
 
-    void successor(const HubVars& h0, const HubVars& h1, std::uint8_t startup_time,
+    void successor(const HubPart& h0, const HubPart& h1, std::uint8_t startup_time,
                    std::uint8_t restarts_used) {
       ++ops;
-      HubVars a = h0;
-      HubVars b = h1;
+      HubVars a = h0.vars;
+      HubVars b = h1.vars;
       canon.canonicalize_hubs(a, b, listener, any_listener);
       const State* base = &prefix;
       State clamped_prefix;
@@ -446,6 +482,26 @@ Cluster::State Cluster::reduce(const State& s) const {
 }
 
 void Cluster::step_unpacked(const ClusterState& c, EmitUnpacked emit) const {
+  // Materializes a full ClusterState per emission, for the trace printer and
+  // the interactive examples.
+  struct UnpackSink {
+    const ClusterConfig& cfg;
+    EmitUnpacked& emit;
+    const NodeVars* nodes = nullptr;
+
+    void combo(const NodeVars* next_nodes) { nodes = next_nodes; }
+
+    void successor(const HubPart& h0, const HubPart& h1, std::uint8_t startup_time,
+                   std::uint8_t restarts_used) {
+      ClusterState t;
+      for (int i = 0; i < cfg.n; ++i) t.node[i] = nodes[i];
+      t.hub[0] = h0.vars;
+      t.hub[1] = h1.vars;
+      t.startup_time = startup_time;
+      t.restarts_used = restarts_used;
+      emit(t);
+    }
+  };
   UnpackSink sink{cfg_, emit};
   step_all(c, sink);
 }
@@ -492,18 +548,20 @@ std::uint8_t Cluster::next_startup_time(const ClusterState& next, std::uint8_t p
 
 template <class Sink>
 void Cluster::step_all(const ClusterState& c, Sink& sink) const {
-  step_core(c, -1, sink);
+  StepMemo memo;
+  step_core(c, -1, memo, sink);
   // The restart dimension (paper §2.1): while budget remains, any one
   // correct node may be reset to INIT by a transient fault this step.
   if (cfg_.transient_restarts > 0 && c.restarts_used < cfg_.transient_restarts) {
     for (int r = 0; r < cfg_.n; ++r) {
-      if (!cfg_.node_is_faulty(r)) step_core(c, r, sink);
+      if (!cfg_.node_is_faulty(r)) step_core(c, r, memo, sink);
     }
   }
 }
 
 template <class Sink>
-void Cluster::step_core(const ClusterState& c, int restart_node, Sink& sink) const {
+void Cluster::step_core(const ClusterState& c, int restart_node, StepMemo& memo,
+                        Sink& sink) const {
   const int n = cfg_.n;
 
   // Frames delivered to each node in the previous slot.
@@ -523,7 +581,10 @@ void Cluster::step_core(const ClusterState& c, int restart_node, Sink& sink) con
       }
     }
   }
-  const auto& fpairs = faulty_outputs_.pairs(fn_locks);
+  // The faulty node's admitted frames per channel; its output pairs are
+  // their product, channel 0 the outer loop.
+  const std::span<const Frame> fchan0 = faulty_outputs_.channel(fn_locks, 0);
+  const std::span<const Frame> fchan1 = faulty_outputs_.channel(fn_locks, 1);
 
   // --- Node phase: precompute each node's options. Correct nodes have at
   // most two (INIT wake-up nondeterminism); the faulty node has one per
@@ -540,7 +601,8 @@ void Cluster::step_core(const ClusterState& c, int restart_node, Sink& sink) con
       copt_vars[i][0] = NodeVars{};
       copt_out[i][0] = Frame::quiet();
     } else if (cfg_.node_is_faulty(i)) {
-      nopt[i] = static_cast<int>(fpairs.size());
+      TT_ASSERT(fchan0.size() <= kMaxFrames && fchan1.size() <= kMaxFrames);
+      nopt[i] = static_cast<int>(fchan0.size() * fchan1.size());
     } else {
       nopt[i] = node_option_count(cfg_, c.node[i]);
       TT_ASSERT(nopt[i] <= 2);
@@ -553,8 +615,8 @@ void Cluster::step_core(const ClusterState& c, int restart_node, Sink& sink) con
   }
 
   // State-phase option counts for the hubs (INIT wake-up nondeterminism).
-  const int sopt0 = hub_state_option_count(cfg_, 0, c.hub[0]);
-  const int sopt1 = hub_state_option_count(cfg_, 1, c.hub[1]);
+  const int sopt[2] = {hub_state_option_count(cfg_, 0, c.hub[0]),
+                       hub_state_option_count(cfg_, 1, c.hub[1])};
 
   const auto restarts_used =
       static_cast<std::uint8_t>(c.restarts_used + (restart_node >= 0 ? 1 : 0));
@@ -562,14 +624,22 @@ void Cluster::step_core(const ClusterState& c, int restart_node, Sink& sink) con
   int choice[kMaxNodes] = {};
   NodeVars next_node[kMaxNodes];
   Frame outs[kNumChannels][kMaxNodes];  // per-channel view of node outputs
+  int frame[kNumChannels] = {};         // the faulty node's frame index per channel
   // Odometer-incremental refresh: only nodes whose choice digit changed are
-  // recomputed — the fastest digit (the faulty node when it is node 0, with
-  // its ~(2n+3)^2 output pairs) is usually the only one that moves.
+  // recomputed — the faulty node's digit, with its ~(2n+3)^2 output pairs,
+  // is usually the only one that moves. A digit only ever steps by one or
+  // resets to 0, so the faulty node's two frame indices advance like a
+  // two-digit odometer, channel 1 the fast digit.
   auto refresh = [&](int i) {
     if (cfg_.node_is_faulty(i)) {
-      const auto& pr = fpairs[static_cast<std::size_t>(choice[i])];
-      outs[0][i] = pr.first;
-      outs[1][i] = pr.second;
+      if (choice[i] == 0) {
+        frame[0] = frame[1] = 0;
+      } else if (++frame[1] == static_cast<int>(fchan1.size())) {
+        frame[1] = 0;
+        ++frame[0];
+      }
+      outs[0][i] = fchan0[static_cast<std::size_t>(frame[0])];
+      outs[1][i] = fchan1[static_cast<std::size_t>(frame[1])];
       next_node[i] = faulty_next;
     } else {
       next_node[i] = copt_vars[i][choice[i]];
@@ -578,60 +648,111 @@ void Cluster::step_core(const ClusterState& c, int restart_node, Sink& sink) con
   };
   for (int i = 0; i < n; ++i) refresh(i);
 
-  while (true) {
-    sink.combo(next_node);
-    const StartupPre pre = startup_pre(next_node);
+  // Relay phase of hub h for the faulty node's current frame on channel h,
+  // once per group and frame. Within a group every other node's output is
+  // fixed, so the option count and a correct hub's decisions depend on that
+  // frame alone. A faulty hub's decision also depends on the interlink it
+  // may replay, so only its option count is kept here.
+  auto relay_options = [&](int h) -> int {
+    const int f = frame[h];
+    if (((memo.relay_filled[h] >> f) & 1u) == 0) {
+      memo.relay_filled[h] |= 1u << f;
+      const int count = hub_relay_option_count(cfg_, h, c.hub[h], outs[h]);
+      TT_ASSERT(count <= (cfg_.hub_is_faulty(h) ? kMaxRelay : kMaxNodes));
+      memo.relay_count[h][f] = static_cast<std::uint8_t>(count);
+      if (!cfg_.hub_is_faulty(h)) {
+        for (int r = 0; r < count; ++r) {
+          memo.relay[h][f][r].emplace() = hub_relay(cfg_, h, c.hub[h], outs[h], r);
+        }
+      }
+    }
+    return memo.relay_count[h][f];
+  };
+  // Hub h's part for relay option r, the other hub's interlink `il_in` and
+  // state option `s`: a pure function of (frame, r, il_in, s) within a group.
+  auto hub_part = [&](int h, int r, const Frame& il_in, int s) -> const HubPart& {
+    const auto key = static_cast<std::uint16_t>(
+        (static_cast<unsigned>(frame[h] * kMaxRelay + r) << 6) | frame_code(il_in));
+    const int slot =
+        static_cast<int>(((key * 2654435761u) >> 16) & (kPartSets - 1)) * 2 + s;
+    std::uint64_t& filled = memo.part_filled[h][slot >> 6];
+    const std::uint64_t bit = std::uint64_t{1} << (slot & 63);
+    if ((filled & bit) == 0 || memo.part_key[h][slot] != key) {
+      filled |= bit;
+      memo.part_key[h][slot] = key;
+      HubPart& p = memo.part[h][slot].emplace();
+      if (cfg_.hub_is_faulty(h)) {
+        const RelayDecision d = faulty_hub_relay(cfg_, c.hub[h], outs[h], il_in, r);
+        p.vars = faulty_hub_state_step(cfg_, c.hub[h], d);
+        p.interlink = d.interlink;
+      } else {
+        const RelayDecision& d = memo.relay[h][frame[h]][r].value;
+        p.vars = hub_state_step(cfg_, h, c.hub[h], d, il_in, s);
+        p.interlink = d.interlink;
+      }
+      pack_hub(p.bits, h, p.vars);
+    }
+    return memo.part[h][slot].value;
+  };
 
-    // --- Hub phase. Relay decisions of correct hubs are pure functions of
-    // node outputs; a faulty hub may additionally replay the correct hub's
-    // same-step interlink output, so correct hubs are computed first.
-    const int ropt0 = hub_relay_option_count(cfg_, 0, c.hub[0], outs[0]);
-    const int ropt1 = hub_relay_option_count(cfg_, 1, c.hub[1], outs[1]);
+  const int fh = cfg_.faulty_hub;
+  TT_ASSERT(fh == ClusterConfig::kNone || sopt[fh] == 1);  // a faulty hub never wakes late
+  StartupPre pre;
+  bool new_group = true;
+  while (true) {
+    if (new_group) {
+      memo.begin_group();
+      sink.combo(next_node);
+      pre = startup_pre(next_node);
+    }
+
+    // --- Hub phase. A correct hub's interlink is fixed by its relay
+    // decision; a faulty hub may replay the correct hub's, so its part comes
+    // first and its own interlink is then known to the correct hub.
+    const int ropt0 = relay_options(0);
+    const int ropt1 = relay_options(1);
     for (int r0 = 0; r0 < ropt0; ++r0) {
       for (int r1 = 0; r1 < ropt1; ++r1) {
-        RelayDecision d0;
-        RelayDecision d1;
-        if (cfg_.hub_is_faulty(0)) {
-          d1 = hub_relay(cfg_, 1, c.hub[1], outs[1], r1);
-          d0 = faulty_hub_relay(cfg_, c.hub[0], outs[0], d1.interlink, r0);
-        } else if (cfg_.hub_is_faulty(1)) {
-          d0 = hub_relay(cfg_, 0, c.hub[0], outs[0], r0);
-          d1 = faulty_hub_relay(cfg_, c.hub[1], outs[1], d0.interlink, r1);
-        } else {
-          d0 = hub_relay(cfg_, 0, c.hub[0], outs[0], r0);
-          d1 = hub_relay(cfg_, 1, c.hub[1], outs[1], r1);
+        const int r[2] = {r0, r1};
+        Frame il[2];
+        const HubPart* part[2][2];
+        for (int h = 0; h < 2; ++h) {
+          if (h != fh) il[h] = memo.relay[h][frame[h]][r[h]].value.interlink;
         }
-        // Hub 0's state step depends on s0 only and hub 1's on s1 only, so
-        // each variant is computed once, not once per (s0, s1) pair.
-        HubVars h0v[2];
-        HubVars h1v[2];
-        for (int s0 = 0; s0 < sopt0; ++s0) {
-          h0v[s0] = cfg_.hub_is_faulty(0)
-                        ? faulty_hub_state_step(cfg_, c.hub[0], d0)
-                        : hub_state_step(cfg_, 0, c.hub[0], d0, d1.interlink, s0);
+        if (fh != ClusterConfig::kNone) {
+          part[fh][0] = &hub_part(fh, r[fh], il[1 - fh], 0);
+          il[fh] = part[fh][0]->interlink;
         }
-        for (int s1 = 0; s1 < sopt1; ++s1) {
-          h1v[s1] = cfg_.hub_is_faulty(1)
-                        ? faulty_hub_state_step(cfg_, c.hub[1], d1)
-                        : hub_state_step(cfg_, 1, c.hub[1], d1, d0.interlink, s1);
+        for (int h = 0; h < 2; ++h) {
+          if (h == fh) continue;
+          for (int so = 0; so < sopt[h]; ++so) part[h][so] = &hub_part(h, r[h], il[1 - h], so);
         }
-        for (int s0 = 0; s0 < sopt0; ++s0) {
-          for (int s1 = 0; s1 < sopt1; ++s1) {
-            const std::uint8_t st = startup_from(pre, h0v[s0], h1v[s1], c.startup_time);
-            sink.successor(h0v[s0], h1v[s1], st, restarts_used);
+        for (int s0 = 0; s0 < sopt[0]; ++s0) {
+          for (int s1 = 0; s1 < sopt[1]; ++s1) {
+            const HubPart& p0 = *part[0][s0];
+            const HubPart& p1 = *part[1][s1];
+            sink.successor(p0, p1, startup_from(pre, p0.vars, p1.vars, c.startup_time),
+                           restarts_used);
           }
         }
       }
     }
 
+    // Advance the odometer, refreshing the digits that moved; a new group
+    // starts unless only the faulty node's digit moved.
     int k = 0;
-    while (k < n) {
-      if (++choice[k] < nopt[k]) break;
+    new_group = false;
+    while (k < n && ++choice[k] == nopt[k]) {
       choice[k] = 0;
+      if (nopt[k] > 1) {
+        refresh(k);
+        if (!cfg_.node_is_faulty(k)) new_group = true;
+      }
       ++k;
     }
     if (k == n) break;
-    for (int i = k; i >= 0; --i) refresh(i);
+    refresh(k);
+    if (!cfg_.node_is_faulty(k)) new_group = true;
   }
 }
 

@@ -124,14 +124,30 @@ class Cluster {
   [[nodiscard]] std::uint8_t startup_from(const StartupPre& pre, const HubVars& h0,
                                           const HubVars& h1, std::uint8_t prev) const;
 
-  /// The step kernel, generic over how successors leave it. `Sink` sees
-  /// `combo(next_nodes)` whenever the node-choice combination changes, then
-  /// `emit(h0, h1, startup_time, restarts_used)` once per successor of that
-  /// combination — so a packing sink can serialize the node prefix once per
-  /// combination instead of once per successor (the hot-path win: at fault
-  /// degree 6 one combination is shared by all hub-phase variants).
+  /// One hub's share of a successor: its next variables, the frame it
+  /// mirrored onto the interlink this step, and the variables packed at the
+  /// hub's fixed offset of the layout (every other bit zero).
+  struct HubPart {
+    HubVars vars;
+    Frame interlink;
+    State bits{};
+  };
+  /// Per-call memo of the hub phase (cluster.cpp); lives on the stack of
+  /// one successors()/step_unpacked() call.
+  struct StepMemo;
+
+  /// The step kernel, generic over how successors leave it. A *group* is a
+  /// run of consecutive successors that share one choice for every correct
+  /// node (only the faulty node's output pair varies). `Sink` sees
+  /// `combo(next_nodes)` once per group, then `successor(p0, p1,
+  /// startup_time, restarts_used)` once per successor, in the order of the
+  /// per-emission loop nest (node 0 the fastest odometer digit, then relay
+  /// options r0, r1, then state options s0, s1). Within a group each
+  /// hub's relay phase runs once per distinct frame the faulty node puts on
+  /// its channel, and each hub part is computed once per (own frame, relay
+  /// option, other hub's interlink, state option) and then reused.
   template <class Sink>
-  void step_core(const ClusterState& c, int restart_node, Sink& sink) const;
+  void step_core(const ClusterState& c, int restart_node, StepMemo& memo, Sink& sink) const;
 
   /// Runs step_core for the fault-free step plus every transient-restart
   /// variant (paper §2.1 restart dimension).
@@ -145,11 +161,15 @@ class Cluster {
   /// Adds one exploration call's clamp decisions to the relaxed counters.
   void flush_por_stats(const PorStats& stats) const;
 
-  /// Serializes the per-node prefix of the packed layout (first node_bits_
-  /// bits of `s`; the rest must be zero).
+  /// Serializes the per-node prefix of the packed layout (the bits of `s`
+  /// before hub 0; the rest must be zero).
   void pack_node_prefix(State& s, const NodeVars* nodes) const;
-  /// Serializes everything after the node prefix: both hubs (positional
-  /// layout), startup_time, restarts_used.
+  /// Serializes hub `h` at its fixed offset (its bits of `s` must be zero).
+  void pack_hub(State& s, int h, const HubVars& v) const;
+  /// Serializes startup_time and restarts_used, the last fields of the
+  /// layout (their bits of `s` must be zero).
+  void pack_tail(State& s, std::uint8_t startup_time, std::uint8_t restarts_used) const;
+  /// Everything after the node prefix: both hubs, then the tail.
   void pack_hub_suffix(State& s, const HubVars& h0, const HubVars& h1,
                        std::uint8_t startup_time, std::uint8_t restarts_used) const;
 
@@ -172,7 +192,9 @@ class Cluster {
   int frame_bits_ = 0;
   int st_bits_ = 0;
   int restart_bits_ = 0;
-  int node_bits_ = 0;  ///< width of the packed per-node prefix (all n nodes)
+  /// Bit offsets of hub 0 (the end of the per-node prefix), hub 1 and the
+  /// startup/restart tail.
+  int hub_off_[3] = {};
   int state_bits_ = 0;
 };
 

@@ -39,34 +39,30 @@ FaultRank FaultyNodeOutputs::rank_of(const Frame& f, int id) {
 FaultyNodeOutputs::FaultyNodeOutputs(const ClusterConfig& cfg, bool collapse_classes)
     : feedback_(cfg.feedback) {
   if (cfg.faulty_node == ClusterConfig::kNone) return;
-  std::vector<Frame> opts = channel_options(cfg.n, cfg.faulty_node, cfg.fault_degree);
+  frames_ = channel_options(cfg.n, cfg.faulty_node, cfg.fault_degree);
   if (collapse_classes) {
     // Keep the first frame of each observable class in Fig. 3 rank order
     // (quiet, cs(own), i(own), then the cheapest provably-faulty emission).
     std::vector<Frame> reps;
     bool seen[4] = {};
-    for (const Frame& f : opts) {
+    for (const Frame& f : frames_) {
       const int c = hub_observable_class(f, cfg.faulty_node);
       if (!seen[c]) {
         seen[c] = true;
         reps.push_back(f);
       }
     }
-    opts = std::move(reps);
+    frames_ = std::move(reps);
   }
-  for (std::uint8_t locks = 0; locks < 4; ++locks) {
-    const bool l0 = (locks & 1u) != 0;
-    const bool l1 = (locks & 2u) != 0;
-    auto& dst = pairs_[locks];
-    for (const Frame& a : opts) {
-      if (l0 && !a.is_quiet()) continue;  // feedback: locked channel emits quiet only
-      for (const Frame& b : opts) {
-        if (l1 && !b.is_quiet()) continue;
-        dst.emplace_back(a, b);
-      }
-    }
-    TT_ASSERT(!dst.empty());
+  TT_ASSERT(frames_.front().is_quiet());  // what a locked channel keeps (feedback)
+}
+
+std::vector<std::pair<Frame, Frame>> FaultyNodeOutputs::pairs(std::uint8_t locks) const {
+  std::vector<std::pair<Frame, Frame>> out;
+  for (const Frame& a : channel(locks, 0)) {
+    for (const Frame& b : channel(locks, 1)) out.emplace_back(a, b);
   }
+  return out;
 }
 
 NodeVars faulty_node_vars(const ClusterConfig& cfg, std::uint8_t locks) {

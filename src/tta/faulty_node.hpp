@@ -19,6 +19,8 @@
 // (kFaultyLock0/1/01). This prunes clutter states without removing behaviour.
 #pragma once
 
+#include <algorithm>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -28,8 +30,8 @@
 
 namespace tt::tta {
 
-/// Precomputed per-step output alternatives of the faulty node, one list per
-/// lock status (bit 0: locked by hub 0, bit 1: locked by hub 1).
+/// Precomputed per-step output alternatives of the faulty node, per channel
+/// and lock status (bit 0: locked by hub 0, bit 1: locked by hub 1).
 class FaultyNodeOutputs {
  public:
   FaultyNodeOutputs() = default;
@@ -44,12 +46,20 @@ class FaultyNodeOutputs {
   FaultyNodeOutputs(const ClusterConfig& cfg,  // NOLINT: built from config only
                     bool collapse_classes = false);
 
-  /// All admitted (channel0, channel1) output pairs for the given lock bits.
-  /// Without feedback, lock bits are ignored (the full list is returned),
-  /// reproducing the paper's feedback-off state blow-up.
-  [[nodiscard]] const std::vector<std::pair<Frame, Frame>>& pairs(std::uint8_t locks) const {
-    return pairs_[feedback_ ? (locks & 3u) : 0u];
+  /// The frames admitted on channel `h` for the given lock bits, in Fig. 3
+  /// rank order: all of them, or quiet alone (the first) once guardian h
+  /// has locked the node. Without feedback, lock bits are ignored (the full
+  /// list is returned), reproducing the paper's feedback-off state blow-up.
+  [[nodiscard]] std::span<const Frame> channel(std::uint8_t locks, int h) const {
+    const bool locked = feedback_ && ((locks >> h) & 1u) != 0;
+    return {frames_.data(), locked ? std::min<std::size_t>(1, frames_.size()) : frames_.size()};
   }
+
+  /// All admitted (channel0, channel1) output pairs for the given lock bits:
+  /// the product of the two channel lists, channel 0 the outer loop, so pair
+  /// p is (channel(locks, 0)[p / channel(locks, 1).size()],
+  /// channel(locks, 1)[p % channel(locks, 1).size()]).
+  [[nodiscard]] std::vector<std::pair<Frame, Frame>> pairs(std::uint8_t locks) const;
 
   /// Per-channel frames admitted at degree δ for a node `id` (test hook;
   /// also documents the Fig. 3 ranking).
@@ -72,7 +82,7 @@ class FaultyNodeOutputs {
   }
 
  private:
-  std::vector<std::pair<Frame, Frame>> pairs_[4];
+  std::vector<Frame> frames_;  ///< one channel's outputs; frames_[0] is quiet
   bool feedback_ = true;
 };
 

@@ -2,10 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+#include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "mc/simulate.hpp"
+#include "support/hash.hpp"
 #include "support/rng.hpp"
+#include "tta/faulty_node.hpp"
 #include "tta/properties.hpp"
 
 namespace tt::tta {
@@ -217,6 +223,351 @@ TEST(Cluster, RejectsOversizedConfiguration) {
   } catch (const std::invalid_argument&) {
     SUCCEED();
   }
+}
+
+// ---------------------------------------------------------------------------
+// Emission order. BFS ids, parent links and counterexample traces all depend
+// on the order in which Cluster::successors emits, so the tests below pin
+// the ordered stream, not just the successor set.
+
+using State = Cluster::State;
+using Stream = std::vector<State>;
+
+/// Reference enumerator: the straightforward per-emission loop nest, built
+/// only from the model's public step functions. For every node-choice
+/// combination (node 0 the fastest odometer digit, the faulty node's
+/// digit running over its admitted output pairs) it steps both hubs for
+/// every relay option pair and state option pair and packs each successor
+/// whole. Cluster::successors must emit exactly this sequence.
+Stream reference_successors(const Cluster& cl, const State& s) {
+  const ClusterConfig& cfg = cl.config();
+  const FaultyNodeOutputs faulty_outputs(cfg);
+  const ClusterState c = cl.unpack(s);
+  const int n = cfg.n;
+  Stream out;
+
+  auto step = [&](int restart_node) {
+    Frame node_in[kMaxNodes][kNumChannels];
+    for (int i = 0; i < n; ++i) {
+      for (int h = 0; h < kNumChannels; ++h) {
+        node_in[i][h] = c.hub[h].delivered(i, cfg.hub_is_faulty(h));
+      }
+    }
+    std::uint8_t fn_locks = 0;
+    if (cfg.faulty_node != ClusterConfig::kNone) {
+      for (int h = 0; h < kNumChannels; ++h) {
+        if (!cfg.hub_is_faulty(h) && ((c.hub[h].locks >> cfg.faulty_node) & 1u)) {
+          fn_locks = static_cast<std::uint8_t>(fn_locks | (1u << h));
+        }
+      }
+    }
+    const auto& fpairs = faulty_outputs.pairs(fn_locks);
+
+    // Every node's options as (next vars, channel-0 frame, channel-1 frame).
+    struct Option {
+      NodeVars next;
+      Frame out[kNumChannels];
+    };
+    std::vector<Option> opts[kMaxNodes];
+    for (int i = 0; i < n; ++i) {
+      if (i == restart_node) {
+        opts[i].push_back({NodeVars{}, {Frame::quiet(), Frame::quiet()}});
+      } else if (cfg.node_is_faulty(i)) {
+        for (const auto& [a, b] : fpairs) {
+          opts[i].push_back({faulty_node_vars(cfg, fn_locks), {a, b}});
+        }
+      } else {
+        for (int o = 0; o < node_option_count(cfg, c.node[i]); ++o) {
+          const NodeStep st = node_step(cfg, i, c.node[i], node_in[i], o);
+          opts[i].push_back({st.next, {st.out, st.out}});
+        }
+      }
+    }
+
+    const int sopt0 = hub_state_option_count(cfg, 0, c.hub[0]);
+    const int sopt1 = hub_state_option_count(cfg, 1, c.hub[1]);
+    int choice[kMaxNodes] = {};
+    while (true) {
+      ClusterState t;
+      Frame outs[kNumChannels][kMaxNodes];
+      for (int i = 0; i < n; ++i) {
+        const Option& o = opts[i][static_cast<std::size_t>(choice[i])];
+        t.node[i] = o.next;
+        outs[0][i] = o.out[0];
+        outs[1][i] = o.out[1];
+      }
+      t.restarts_used = static_cast<std::uint8_t>(c.restarts_used + (restart_node >= 0 ? 1 : 0));
+      const int ropt0 = hub_relay_option_count(cfg, 0, c.hub[0], outs[0]);
+      const int ropt1 = hub_relay_option_count(cfg, 1, c.hub[1], outs[1]);
+      for (int r0 = 0; r0 < ropt0; ++r0) {
+        for (int r1 = 0; r1 < ropt1; ++r1) {
+          RelayDecision d0;
+          RelayDecision d1;
+          if (cfg.hub_is_faulty(0)) {
+            d1 = hub_relay(cfg, 1, c.hub[1], outs[1], r1);
+            d0 = faulty_hub_relay(cfg, c.hub[0], outs[0], d1.interlink, r0);
+          } else if (cfg.hub_is_faulty(1)) {
+            d0 = hub_relay(cfg, 0, c.hub[0], outs[0], r0);
+            d1 = faulty_hub_relay(cfg, c.hub[1], outs[1], d0.interlink, r1);
+          } else {
+            d0 = hub_relay(cfg, 0, c.hub[0], outs[0], r0);
+            d1 = hub_relay(cfg, 1, c.hub[1], outs[1], r1);
+          }
+          for (int s0 = 0; s0 < sopt0; ++s0) {
+            for (int s1 = 0; s1 < sopt1; ++s1) {
+              t.hub[0] = cfg.hub_is_faulty(0)
+                             ? faulty_hub_state_step(cfg, c.hub[0], d0)
+                             : hub_state_step(cfg, 0, c.hub[0], d0, d1.interlink, s0);
+              t.hub[1] = cfg.hub_is_faulty(1)
+                             ? faulty_hub_state_step(cfg, c.hub[1], d1)
+                             : hub_state_step(cfg, 1, c.hub[1], d1, d0.interlink, s1);
+              t.startup_time = cl.next_startup_time(t, c.startup_time);
+              out.push_back(cl.pack(t));
+            }
+          }
+        }
+      }
+      int k = 0;
+      while (k < n && ++choice[k] == static_cast<int>(opts[k].size())) choice[k++] = 0;
+      if (k == n) break;
+    }
+  };
+
+  step(-1);
+  if (cfg.transient_restarts > 0 && c.restarts_used < cfg.transient_restarts) {
+    for (int r = 0; r < n; ++r) {
+      if (!cfg.node_is_faulty(r)) step(r);
+    }
+  }
+  return out;
+}
+
+Stream successor_stream(const Cluster& cl, const State& s) {
+  Stream out;
+  cl.successors(s, [&](const State& t) { out.push_back(t); });
+  return out;
+}
+
+struct StateHash {
+  std::size_t operator()(const State& s) const noexcept { return hash_words(s); }
+};
+
+/// Every reachable state in BFS order (ids in emission order).
+std::vector<State> reachable(const Cluster& cl) {
+  std::unordered_set<State, StateHash> seen;
+  std::vector<State> order;
+  auto visit = [&](const State& t) {
+    if (seen.insert(t).second) order.push_back(t);
+  };
+  cl.initial_states(visit);
+  for (std::size_t head = 0; head < order.size(); ++head) cl.successors(order[head], visit);
+  return order;
+}
+
+struct OracleCell {
+  int n;
+  int faulty_node;  ///< ClusterConfig::kNone for the faulty-hub cells
+  int faulty_hub;
+  int degree;
+  bool feedback;
+  TimelinessTarget target;
+
+  [[nodiscard]] ClusterConfig config() const {
+    ClusterConfig cfg;
+    cfg.n = n;
+    cfg.faulty_node = faulty_node;
+    cfg.faulty_hub = faulty_hub;
+    cfg.fault_degree = degree;
+    cfg.feedback = feedback;
+    cfg.init_window = 2;
+    cfg.hub_init_window = 2;
+    cfg.timeliness_bound = 3;
+    cfg.timeliness_target = target;
+    cfg.transient_restarts = 1;
+    return cfg;
+  }
+};
+
+std::vector<OracleCell> oracle_grid() {
+  std::vector<OracleCell> cells;
+  for (int n : {3, 4}) {
+    for (int f = 0; f < n + 2; ++f) {
+      const int node = f < n ? f : ClusterConfig::kNone;
+      const int hub = f < n ? ClusterConfig::kNone : f - n;
+      for (int degree : {1, 3, 6}) {
+        for (bool feedback : {true, false}) {
+          // Degree and feedback shape only the faulty node's outputs, so a
+          // faulty-hub model is the same for every value: run it once.
+          if (hub != ClusterConfig::kNone && (degree != 6 || !feedback)) continue;
+          for (TimelinessTarget target :
+               {TimelinessTarget::kFirstCorrectActive, TimelinessTarget::kCorrectHubSynced}) {
+            cells.push_back({n, node, hub, degree, feedback, target});
+          }
+        }
+      }
+    }
+  }
+  return cells;
+}
+
+std::string cell_name(const OracleCell& c) {
+  std::string name = "n" + std::to_string(c.n);
+  name += c.faulty_node != ClusterConfig::kNone ? "_node" + std::to_string(c.faulty_node)
+                                                : "_hub" + std::to_string(c.faulty_hub);
+  name += "_deg" + std::to_string(c.degree);
+  name += c.feedback ? "_fb" : "_nofb";
+  name += c.target == TimelinessTarget::kFirstCorrectActive ? "_node_target" : "_hub_target";
+  return name;
+}
+
+std::string oracle_cell_name(const ::testing::TestParamInfo<OracleCell>& info) {
+  return cell_name(info.param);
+}
+
+// Names the cell in test listings (gtest would print the struct's raw
+// bytes, padding included).
+void PrintTo(const OracleCell& c, std::ostream* os) { *os << cell_name(c); }
+
+class EmissionOrder : public ::testing::TestWithParam<OracleCell> {};
+
+TEST_P(EmissionOrder, MatchesReferenceEnumeratorOnEveryReachableState) {
+  const Cluster cluster(GetParam().config());
+  const std::vector<State> states = reachable(cluster);
+  ASSERT_FALSE(states.empty());
+  std::size_t emissions = 0;
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    const Stream got = successor_stream(cluster, states[i]);
+    const Stream want = reference_successors(cluster, states[i]);
+    ASSERT_EQ(got, want) << "state #" << i << " of " << states.size();
+    emissions += got.size();
+  }
+  EXPECT_GT(emissions, states.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(Grid, EmissionOrder, ::testing::ValuesIn(oracle_grid()),
+                         oracle_cell_name);
+
+/// FNV-1a over every word of every emission, in order, over the reachable
+/// set in BFS order — an ordered-stream fingerprint.
+struct StreamFingerprint {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  std::size_t emissions = 0;
+  std::size_t states = 0;
+};
+
+StreamFingerprint fingerprint(const Cluster& cl) {
+  StreamFingerprint fp;
+  const std::vector<State> states = reachable(cl);
+  fp.states = states.size();
+  for (const State& s : states) {
+    cl.successors(s, [&](const State& t) {
+      ++fp.emissions;
+      for (std::uint64_t w : t) {
+        for (int b = 0; b < 64; b += 8) {
+          fp.hash ^= (w >> b) & 0xffu;
+          fp.hash *= 0x100000001b3ULL;
+        }
+      }
+    });
+  }
+  return fp;
+}
+
+ClusterConfig fingerprint_cell_a() {
+  ClusterConfig cfg;  // fig6 cell, faulty node in the middle of the odometer
+  cfg.n = 4;
+  cfg.faulty_node = 1;
+  cfg.fault_degree = 6;
+  cfg.init_window = 4;
+  cfg.hub_init_window = 4;
+  return cfg;
+}
+
+ClusterConfig fingerprint_cell_b() {
+  ClusterConfig cfg;  // slowest faulty digit, restarts and the startup counter
+  cfg.n = 4;
+  cfg.faulty_node = 3;
+  cfg.fault_degree = 3;
+  cfg.init_window = 3;
+  cfg.hub_init_window = 3;
+  cfg.timeliness_bound = 6;
+  cfg.transient_restarts = 1;
+  return cfg;
+}
+
+// The reduced emission paths (orbit canonicalization and the partial-order
+// clamp) have no independent reference enumerator; their ordered streams
+// are pinned to the values the per-emission kernel produced.
+TEST(EmissionOrderFingerprint, SymmetryAndSymPorStreamsArePinned) {
+  struct Pin {
+    ClusterConfig cfg;
+    Reduction reduction;
+    StreamFingerprint want;
+  };
+  const Pin pins[] = {
+      {fingerprint_cell_a(), Reduction::kSymmetry, {0xd25405a28fb0a10dULL, 56440, 3944}},
+      {fingerprint_cell_a(), Reduction::kSymPor, {0xc0c19f41ea27d87eULL, 40699, 2738}},
+      {fingerprint_cell_b(), Reduction::kSymmetry, {0x850b8ce0621be64fULL, 400624, 25671}},
+      {fingerprint_cell_b(), Reduction::kSymPor, {0x8b8f85e8033abb85ULL, 349823, 21649}},
+  };
+  for (const Pin& pin : pins) {
+    const StreamFingerprint got = fingerprint(Cluster(pin.cfg, pin.reduction));
+    SCOPED_TRACE(pin.cfg.summary() + " reduction=" + to_string(pin.reduction));
+    EXPECT_EQ(got.states, pin.want.states);
+    EXPECT_EQ(got.emissions, pin.want.emissions);
+    EXPECT_EQ(got.hash, pin.want.hash);
+  }
+}
+
+// successors() keeps all of its scratch on the stack of the call, so a call
+// made from inside another call's emit callback, or from several threads on
+// one const Cluster, sees exactly what a lone top-level call sees.
+TEST(ClusterReentrancy, NestedCallFromEmitCallbackMatchesTopLevel) {
+  for (Reduction reduction : {Reduction::kNone, Reduction::kSymPor}) {
+    const Cluster cluster(fingerprint_cell_a(), reduction);
+    const std::vector<State> states = reachable(cluster);
+    for (std::size_t i = 0; i < states.size(); i += 97) {
+      // Top-level streams of the state and of every 7th successor, then the
+      // same streams again with each successor's enumeration nested inside
+      // the enumeration of the state.
+      const Stream outer_want = successor_stream(cluster, states[i]);
+      std::vector<Stream> inner_want;
+      for (std::size_t k = 0; k < outer_want.size(); k += 7) {
+        inner_want.push_back(successor_stream(cluster, outer_want[k]));
+      }
+      Stream outer_got;
+      std::vector<Stream> inner_got;
+      cluster.successors(states[i], [&](const State& t) {
+        if (outer_got.size() % 7 == 0) inner_got.push_back(successor_stream(cluster, t));
+        outer_got.push_back(t);
+      });
+      ASSERT_EQ(outer_got, outer_want) << "state #" << i;
+      ASSERT_EQ(inner_got, inner_want) << "state #" << i;
+    }
+  }
+}
+
+TEST(ClusterReentrancy, ConcurrentCallsOnOneClusterMatchTopLevel) {
+  const Cluster cluster(fingerprint_cell_a());
+  const std::vector<State> states = reachable(cluster);
+  std::vector<Stream> want;
+  want.reserve(states.size());
+  for (const State& s : states) want.push_back(successor_stream(cluster, s));
+  constexpr int kThreads = 4;
+  std::vector<std::size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread walks the states from a different starting point.
+      for (std::size_t k = 0; k < states.size(); ++k) {
+        const std::size_t i = (k + static_cast<std::size_t>(t) * states.size() / kThreads) %
+                              states.size();
+        if (successor_stream(cluster, states[i]) != want[i]) ++mismatches[static_cast<std::size_t>(t)];
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0u) << "thread " << t;
 }
 
 }  // namespace

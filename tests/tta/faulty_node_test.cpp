@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 namespace tt::tta {
 namespace {
@@ -99,6 +101,31 @@ TEST(FaultyNodeOutputs, WithoutFeedbackLocksAreIgnored) {
   const auto cfg = faulty_cfg(4, 6, /*feedback=*/false);
   const FaultyNodeOutputs outputs(cfg);
   EXPECT_EQ(outputs.pairs(3).size(), outputs.pairs(0).size());
+}
+
+TEST(FaultyNodeOutputs, PairOrderIsChannelZeroOuterInRankOrder) {
+  // The successor kernel's emission order follows this pair order: channel
+  // 0's frame is the outer loop, both in Fig. 3 rank order, and a channel
+  // whose guardian locked the node offers quiet only.
+  for (bool feedback : {true, false}) {
+    for (int degree = 1; degree <= 6; ++degree) {
+      const auto cfg = faulty_cfg(4, degree, feedback);
+      const FaultyNodeOutputs outputs(cfg);
+      const auto opts = FaultyNodeOutputs::channel_options(cfg.n, cfg.faulty_node, degree);
+      for (std::uint8_t locks = 0; locks < 4; ++locks) {
+        const bool l0 = feedback && (locks & 1u) != 0;
+        const bool l1 = feedback && (locks & 2u) != 0;
+        std::vector<std::pair<Frame, Frame>> want;
+        for (const Frame& a : opts) {
+          if (l0 && !a.is_quiet()) continue;
+          for (const Frame& b : opts) {
+            if (!l1 || b.is_quiet()) want.emplace_back(a, b);
+          }
+        }
+        EXPECT_EQ(outputs.pairs(locks), want) << "degree " << degree << " locks " << int{locks};
+      }
+    }
+  }
 }
 
 TEST(FaultyNodeVars, FeedbackTracksLockStatus) {

@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <thread>
 #include <vector>
 
@@ -161,13 +162,11 @@ BENCHMARK(BM_InternFlat)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 void BM_InternSharded(benchmark::State& state) {
   const tt::tta::Cluster cluster(hotpath_config(4));
   const auto stream = candidate_stream(cluster, reachable_states(cluster), 500000);
-  const bool locked = state.range(0) != 0;
   for (auto _ : state) {
     tt::ShardedStateIndexMap<kW> map;
     std::uint64_t acc = 0;
     for (const State& s : stream) {
-      const std::uint64_t h = tt::hash_words(s);
-      auto [idx, fresh] = locked ? map.insert(s, h) : map.insert_serial(s, h);
+      auto [idx, fresh] = map.insert(s, tt::hash_words(s));
       acc += idx;
     }
     benchmark::DoNotOptimize(acc);
@@ -176,7 +175,7 @@ void BM_InternSharded(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(stream.size()) * state.iterations(),
                          benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_InternSharded)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_InternSharded)->Unit(benchmark::kMillisecond);
 
 void BM_InternLockFree(benchmark::State& state) {
   const tt::tta::Cluster cluster(hotpath_config(4));
@@ -201,15 +200,18 @@ void BM_InternLockFree(benchmark::State& state) {
 }
 BENCHMARK(BM_InternLockFree)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-/// EXP-HOT contended stage: k threads hammer one shared store with the fig6
-/// candidate stream split into contiguous disjoint slices — the duplicates
-/// recur across slices, so threads collide on the same probe sequences
-/// exactly where production drain phases do. Pure insert throughput, no
-/// barriers, no maintenance: the worst case for mutex acquisition
-/// (sharded_locked) vs CAS claims (lockfree).
+/// EXP-HOT contended stage: k threads intern the fig6 candidate stream into
+/// one shared 16-shard store. The `locked` rows replay a drain phase's real
+/// traffic: thread w owns the shards s with s % k == w and interns, in
+/// stream order, only the stream entries of its shards, so no two threads
+/// ever write one shard. The `lockfree` rows split the stream into
+/// contiguous slices instead; duplicates recur across slices, so threads
+/// collide on the same probe sequences: the case its CAS claims exist for.
+/// Pure insert throughput, no barriers, no maintenance.
 void contended_stage(tt::BenchReport& report, const std::vector<State>& stream) {
-  std::printf("=== contended insert: sharded_locked vs lockfree ===\n");
-  tt::TextTable t({"store", "threads", "items", "seconds", "items/sec", "cas_retries"});
+  std::printf("=== contended insert: owner-sharded locked vs lockfree ===\n");
+  tt::TextTable t({"store", "traffic", "threads", "items", "seconds", "items/sec",
+                   "cas_retries"});
   const unsigned hw = std::thread::hardware_concurrency();
   // One probed source for the one-core caveat (ROADMAP item 2): on a runner
   // that may effectively have a single CPU, multi-thread contended rows are
@@ -225,26 +227,31 @@ void contended_stage(tt::BenchReport& report, const std::vector<State>& stream) 
   std::vector<std::uint64_t> hashes(stream.size());
   for (std::size_t i = 0; i < stream.size(); ++i) hashes[i] = tt::hash_words(stream[i]);
 
-  auto run = [&](unsigned k, auto& map) {
-    const std::size_t slice = (stream.size() + k - 1) / k;
+  // Thread w interns the stream positions in work[w], in order.
+  auto run = [&](auto& map, const std::vector<std::vector<std::uint32_t>>& work) {
     tt::Timer timer;
-    auto work = [&](std::size_t begin, std::size_t end) {
+    auto intern = [&](const std::vector<std::uint32_t>& mine) {
       std::uint64_t acc = 0;
-      for (std::size_t i = begin; i < end; ++i) acc += map.insert(stream[i], hashes[i]).first;
+      for (const std::uint32_t i : mine) acc += map.insert(stream[i], hashes[i]).first;
       benchmark::DoNotOptimize(acc);
     };
     std::vector<std::thread> pool;
-    pool.reserve(k - 1);
-    for (unsigned w = 1; w < k; ++w) {
-      const std::size_t b = w * slice;
-      pool.emplace_back(work, b, std::min(b + slice, stream.size()));
-    }
-    work(0, std::min(slice, stream.size()));
+    pool.reserve(work.size() - 1);
+    for (std::size_t w = 1; w < work.size(); ++w) pool.emplace_back(intern, std::cref(work[w]));
+    intern(work[0]);
     for (auto& th : pool) th.join();
     return timer.seconds();
   };
 
   for (const unsigned k : counts) {
+    std::vector<std::vector<std::uint32_t>> owned(k), slices(k);
+    const std::size_t slice = (stream.size() + k - 1) / k;
+    const tt::ShardedStateIndexMap<kW> router(16);
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      const auto pos = static_cast<std::uint32_t>(i);
+      owned[router.shard_of(hashes[i]) % k].push_back(pos);
+      slices[i / slice].push_back(pos);
+    }
     for (const bool lockfree : {false, true}) {
       long long retries = -1;
       double seconds = 0.0;
@@ -253,12 +260,12 @@ void contended_stage(tt::BenchReport& report, const std::vector<State>& stream) 
       if (lockfree) {
         tt::LockFreeStateIndexMap<kW> map(16);
         map.reserve(stream.size());
-        seconds = run(k, map);
+        seconds = run(map, slices);
         retries = static_cast<long long>(map.store_stats().cas_retries);
       } else {
         tt::ShardedStateIndexMap<kW> map(16);
         map.reserve(stream.size());
-        seconds = run(k, map);
+        seconds = run(map, owned);
       }
       tt::BenchRecord rec;
       rec.experiment = tt::strfmt("hotpath/contended/t%u", k);
@@ -271,7 +278,8 @@ void contended_stage(tt::BenchReport& report, const std::vector<State>& stream) 
       rec.cas_retries = retries;
       if (k > 1) rec.possibly_one_core = tt::probe_possibly_one_core();
       report.add(rec);
-      t.add_row({rec.store, std::to_string(k), std::to_string(stream.size()),
+      t.add_row({rec.store, lockfree ? "slices" : "owner", std::to_string(k),
+                 std::to_string(stream.size()),
                  tt::strfmt("%.4f", seconds),
                  tt::strfmt("%.0f",
                             seconds > 0 ? static_cast<double>(stream.size()) / seconds : 0),

@@ -74,9 +74,10 @@ struct VerifyOptions {
   /// returning it, so traces replay edge-by-edge either way.
   mc::ReductionKind reduction = mc::ReductionKind::kNone;
   /// Explicit-state storage backend (DESIGN.md §3.7). kShardedLocked is the
-  /// per-shard-mutex store; kLockFree is the CAS-based store that also
-  /// compresses sealed BFS levels and, with store.mem_budget_bytes set,
-  /// spills them to disk so beyond-RAM runs complete with exact counts.
+  /// owner-sharded store (one writer per shard, no lock); kLockFree is the
+  /// CAS-based store that also compresses sealed BFS levels and, with
+  /// store.mem_budget_bytes set, spills them to disk so beyond-RAM runs
+  /// complete with exact counts.
   /// Ignored by the symbolic engine. A nonzero budget on a run that cannot
   /// spill (any store but lockfree, the seq liveness DFS, the sym/kind/ic3
   /// engines) throws std::invalid_argument. Verdicts, counts and traces are

@@ -110,8 +110,8 @@ enum class ReductionKind {
 }
 
 /// Which state-store implementation backs the explicit-state engines.
-/// kShardedLocked is the lock-striped ShardedStateIndexMap (one mutex per
-/// shard on the insert path); kLockFree is the CAS-claim LockFreeStateIndexMap
+/// kShardedLocked is the owner-sharded ShardedStateIndexMap (no lock: each
+/// shard has one writer at a time); kLockFree is the CAS-claim LockFreeStateIndexMap
 /// with delta compression of the closed set and the write-behind out-of-core
 /// spill tier (DESIGN.md §3.9). Both encode ids identically, so verdicts,
 /// counts and traces are bit-identical between them at any thread count.

@@ -14,8 +14,10 @@
 //           per-chunk, per-shard buffers.
 //   drain:  worker threads claim whole shards; the owner of shard s walks the
 //           chunk buffers *in chunk order* and interns every candidate
-//           reusing its expand-phase hash (lock-striped insert), assigns
-//           parent links and collects fresh ids.
+//           reusing its expand-phase hash (an unlocked insert: the owner is
+//           the shard's only writer), assigns parent links and collects
+//           fresh ids. Each shard's store part and link/fresh lists sit on
+//           cache lines of their own, so owners never write a shared line.
 //
 // Determinism guarantee: walking chunk buffers in chunk order replays, for
 // every shard, exactly the frontier-order candidate sequence — chunk
@@ -32,7 +34,7 @@
 // the frozen-store find would have suppressed anyway.
 //
 // Small frontiers fall back to a serial level run by the coordinating thread
-// alone (no barrier crossings, unlocked inserts) — the two-phase order is
+// alone (no barrier crossings, serial inserts) — the two-phase order is
 // preserved, so the fallback is invisible to the determinism guarantee; it
 // only removes the synchronization overhead that made the parallel engines
 // lose to the sequential ones on shallow or narrow state spaces.
@@ -220,8 +222,14 @@ class FrontierSearch {
     std::uint64_t hash;  ///< hash_words(s), computed once in the expand phase
     [[no_unique_address]] Tag tag;
   };
-  struct ChunkOut {
+  struct alignas(64) ChunkOut {
     std::array<std::vector<Cand>, kFrontierShards> bucket;
+  };
+  /// What drain writes per shard, on a cache line of its own: only the
+  /// shard's owner touches it during a phase.
+  struct alignas(64) ShardLists {
+    std::vector<std::uint32_t> parent;  ///< local id -> parent id
+    std::vector<std::uint32_t> fresh;   ///< ids interned this level
   };
 
  public:
@@ -304,7 +312,7 @@ class FrontierSearch {
     stats_.states = seen_.size();
     stats_.depth = depth_;
     stats_.memory_bytes = seen_.memory_bytes() + frontier_.capacity() * sizeof(std::uint32_t);
-    for (const auto& p : parent_) stats_.memory_bytes += p.capacity() * sizeof(std::uint32_t);
+    for (const auto& l : lists_) stats_.memory_bytes += l.parent.capacity() * sizeof(std::uint32_t);
     for (const auto& c : ctx_) {
       stats_.hash_ops += c.hash_ops;
       stats_.cache_hits += c.cache_hits;
@@ -319,7 +327,9 @@ class FrontierSearch {
   [[nodiscard]] std::vector<State> trace_to(std::uint32_t id) const {
     return reconstruct_trace<State>(
         id, kNone, [&](std::uint32_t at) { return seen_.at(at); },
-        [&](std::uint32_t at) { return parent_[seen_.shard_of_id(at)][seen_.local_of_id(at)]; });
+        [&](std::uint32_t at) {
+          return lists_[seen_.shard_of_id(at)].parent[seen_.local_of_id(at)];
+        });
   }
 
   [[nodiscard]] const Map& seen() const noexcept { return seen_; }
@@ -362,7 +372,7 @@ class FrontierSearch {
       const auto [id, is_new] = seen_.insert_serial(s, hash_words(s));
       const unsigned sh = seen_.shard_of_id(id);
       if (is_new) {
-        parent_[sh].push_back(kNone);
+        lists_[sh].parent.push_back(kNone);
         frontier_.push_back(id);
       } else {
         ++c.dups;
@@ -422,16 +432,18 @@ class FrontierSearch {
     run_phase(par, Hooks::kNames.drain, [&](ThreadCtx& c) {
       unsigned sh;
       while ((sh = next_shard_.fetch_add(1, std::memory_order_relaxed)) < kFrontierShards) {
-        auto& fr = fresh_[sh];
-        fr.clear();
+        ShardLists& l = lists_[sh];
+        l.fresh.clear();
         for (std::size_t ci = 0; ci < nchunks_; ++ci) {
           for (const Cand& cd : chunk_out_[ci]->bucket[sh]) {
+            // Only the lock-free store tells the two apart (CAS claim and
+            // the shared Bloom front vs. its single-threaded path).
             const auto [id, is_new] =
                 par ? seen_.insert(cd.s, cd.hash) : seen_.insert_serial(cd.s, cd.hash);
             if (is_new) {
               c.cache.remember(cd.hash, id);
-              parent_[sh].push_back(cd.parent);
-              fr.push_back(id);
+              l.parent.push_back(cd.parent);
+              l.fresh.push_back(id);
             } else {
               ++c.dups;  // duplicate within this level
             }
@@ -459,7 +471,7 @@ class FrontierSearch {
     }
     if (collect_witness()) return true;
     frontier_.clear();
-    for (const auto& fr : fresh_) frontier_.insert(frontier_.end(), fr.begin(), fr.end());
+    for (const auto& l : lists_) frontier_.insert(frontier_.end(), l.fresh.begin(), l.fresh.end());
     if (frontier_.empty()) return true;  // reachable set exhausted
     stats_.frontier_sizes.push_back(frontier_.size());
     // The store is quiescent between drain and the next expand: seal closed
@@ -497,8 +509,7 @@ class FrontierSearch {
   const int threads_;
 
   Map seen_;
-  std::array<std::vector<std::uint32_t>, kFrontierShards> parent_;  // local id -> parent id
-  std::array<std::vector<std::uint32_t>, kFrontierShards> fresh_;   // ids interned this level
+  std::array<ShardLists, kFrontierShards> lists_;
   std::vector<std::uint32_t> frontier_;
   std::vector<ThreadCtx> ctx_;
 

@@ -64,7 +64,7 @@ template <class Map, TransitionSystem TS, class Pred>
 /// Parallel G(holds) check; the frontier-parallel counterpart of
 /// check_invariant. Verdicts agree with the sequential engine; on violation
 /// the trace is shortest (BFS) and identical for every thread count — and
-/// for either store (EngineOptions::store picks the lock-striped or the
+/// for either store (EngineOptions::store picks the owner-sharded or the
 /// lock-free table; both assign the same ids in the same order). Search
 /// limits are enforced at level granularity (the sequential engine checks
 /// mid-level), so limit-stopped runs may intern slightly more states.

@@ -1,10 +1,11 @@
 // ShardedStateIndexMap: the concurrent sibling of StateIndexMap.
 //
-// The state store is hash-partitioned into S lock-striped shards (S a power
-// of two, fixed at construction). Each shard is an independent open-addressed
-// probe table plus state arena, guarded by its own mutex, so inserts to
-// different shards never contend and inserts to the same shard serialize on
-// one cheap lock. A global dense id encodes the (shard, local) pair as
+// The state store is hash-partitioned into S shards (S a power of two, fixed
+// at construction). Each shard is an independent open-addressed probe table
+// plus state arena on a cache line of its own, with no lock: concurrency
+// comes from giving every shard to one writer at a time, never from
+// serializing writers inside a shard. A global dense id encodes the
+// (shard, local) pair as
 //
 //     id = (local << log2(S)) | shard
 //
@@ -12,23 +13,23 @@
 // deterministic total order on ids that the parallel BFS uses to pick the
 // minimal (depth, id) violation.
 //
-// Thread-safety contract:
-//   * insert()        — safe from any number of threads concurrently.
-//   * insert_serial() — single-threaded fast path (no lock); a map with one
-//                       shard and serial inserts costs the same as the plain
-//                       StateIndexMap.
-//   * find()/at()     — lock-free reads; safe concurrently with each other
-//                       and, for find(), with inserts to *other* shards. A
-//                       find concurrent with an insert to the same shard is a
-//                       data race — the level-synchronous engines guarantee
-//                       quiescence (reads only between write phases).
-//   * size()/memory_bytes() — like find(): quiescent phases only.
+// Thread-safety contract (owner-exclusive shards):
+//   * insert()/insert_serial() — the same unlocked insert under two names
+//                       (the lock-free store tells them apart). Inserts to
+//                       *different* shards may run concurrently; each shard
+//                       admits one writer at a time. The frontier engines'
+//                       drain phase gives every shard to exactly one thread.
+//   * find()/at()     — plain reads; safe concurrently with each other and
+//                       with inserts to *other* shards. A read concurrent
+//                       with an insert to the same shard is a data race — the
+//                       level-synchronous engines read only between write
+//                       phases.
+//   * size()/memory_bytes() — quiescent phases only (they read every shard).
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -99,32 +100,43 @@ class ShardedStateIndexMap {
     return (local << shard_bits_) | shard;
   }
 
-  /// Interns `s`; thread-safe (locks the target shard). Returns {id, fresh}.
+  /// Interns `s`. Returns {id, fresh}. The caller must be the only writer
+  /// of `s`'s shard for the duration of the call.
   std::pair<std::uint32_t, bool> insert(const State& s) { return insert(s, hash_words(s)); }
 
-  /// Hash-once thread-safe intern; `h` must equal `hash_words(s)`.
+  /// Hash-once intern; `h` must equal `hash_words(s)`.
   std::pair<std::uint32_t, bool> insert(const State& s, std::uint64_t h) {
     const unsigned idx = shard_of(h);
     Shard& sh = shards_[idx];
-    std::lock_guard<std::mutex> lock(sh.mu);
-    return insert_into(sh, idx, h, s);
+    if ((sh.arena.size() + 1) * 10 >= sh.table.size() * 7) rehash(sh, sh.table.size() * 2);
+    std::size_t slot = h & sh.mask;
+    while (true) {
+      const std::uint32_t local = sh.table[slot];
+      if (local == kEmpty) {
+        if (sh.arena.size() >= local_limit_) {
+          throw StateCapacityError("ShardedStateIndexMap: shard dense-id space exhausted");
+        }
+        const auto fresh_local = static_cast<std::uint32_t>(sh.arena.size());
+        sh.arena.push_back(s);
+        sh.table[slot] = fresh_local;
+        return {(fresh_local << shard_bits_) | idx, true};
+      }
+      if (sh.arena[local] == s) return {(local << shard_bits_) | idx, false};
+      slot = (slot + 1) & sh.mask;
+    }
   }
 
-  /// Interns `s` without locking — the single-threaded fast path.
-  std::pair<std::uint32_t, bool> insert_serial(const State& s) {
-    return insert_serial(s, hash_words(s));
-  }
-
-  /// Hash-once lock-free intern; `h` must equal `hash_words(s)`.
+  /// Same as insert(); kept so callers written against either store can name
+  /// the single-threaded path.
+  std::pair<std::uint32_t, bool> insert_serial(const State& s) { return insert(s); }
   std::pair<std::uint32_t, bool> insert_serial(const State& s, std::uint64_t h) {
-    const unsigned idx = shard_of(h);
-    return insert_into(shards_[idx], idx, h, s);
+    return insert(s, h);
   }
 
-  /// Lock-free lookup; requires no concurrent insert to this shard.
+  /// Lookup; requires no concurrent insert to this shard.
   [[nodiscard]] std::uint32_t find(const State& s) const { return find(s, hash_words(s)); }
 
-  /// Hash-once lock-free lookup; `h` must equal `hash_words(s)`.
+  /// Hash-once lookup; `h` must equal `hash_words(s)`.
   [[nodiscard]] std::uint32_t find(const State& s, std::uint64_t h) const {
     const unsigned idx = shard_of(h);
     const Shard& sh = shards_[idx];
@@ -175,8 +187,9 @@ class ShardedStateIndexMap {
   }
 
  private:
-  struct Shard {
-    std::mutex mu;
+  // One cache line (at least) per shard, so owners of neighbouring shards
+  // never write the same line.
+  struct alignas(64) Shard {
     std::vector<State> arena;
     std::vector<std::uint32_t> table;  // local ids, open addressing
     std::size_t mask = 0;
@@ -188,26 +201,6 @@ class ShardedStateIndexMap {
       mask = cap - 1;
     }
   };
-
-  std::pair<std::uint32_t, bool> insert_into(Shard& sh, unsigned shard_idx,
-                                             std::uint64_t h, const State& s) {
-    if ((sh.arena.size() + 1) * 10 >= sh.table.size() * 7) rehash(sh, sh.table.size() * 2);
-    std::size_t slot = h & sh.mask;
-    while (true) {
-      const std::uint32_t local = sh.table[slot];
-      if (local == kEmpty) {
-        if (sh.arena.size() >= local_limit_) {
-          throw StateCapacityError("ShardedStateIndexMap: shard dense-id space exhausted");
-        }
-        const auto fresh_local = static_cast<std::uint32_t>(sh.arena.size());
-        sh.arena.push_back(s);
-        sh.table[slot] = fresh_local;
-        return {(fresh_local << shard_bits_) | shard_idx, true};
-      }
-      if (sh.arena[local] == s) return {(local << shard_bits_) | shard_idx, false};
-      slot = (slot + 1) & sh.mask;
-    }
-  }
 
   static void rehash(Shard& sh, std::size_t new_cap) {
     std::vector<std::uint32_t> bigger(new_cap, kEmpty);

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "mc/frontier_search.hpp"
 #include "mc/parallel_liveness.hpp"
 #include "mc/reachability.hpp"
 #include "toy_system.hpp"
@@ -18,6 +22,14 @@ using mc_test::ToySystem;
 EngineOptions with_threads(int t) {
   EngineOptions o;
   o.threads = t;
+  return o;
+}
+
+EngineOptions with_store(int threads, StoreKind kind, std::size_t budget_bytes = 0) {
+  EngineOptions o;
+  o.threads = threads;
+  o.store.kind = kind;
+  o.store.mem_budget_bytes = budget_bytes;
   return o;
 }
 
@@ -195,6 +207,104 @@ TEST(ParallelReachability, IdenticalTracesAcrossThreadCounts) {
   }
 }
 
+// --- more threads than shards -----------------------------------------------
+
+/// 8 levels of 4096 states, every state of level 0 initial. Each state has
+/// three edges into the next level and one back into the previous one, so
+/// every level past the roots is 4096 wide: above the parallel cutoff of
+/// 128 items per worker at 17 threads, with in-level and cross-level
+/// duplicates on both paths.
+ToySystem wide_layers() {
+  constexpr std::uint64_t kWidth = 4096, kLevels = 8;
+  std::vector<std::vector<std::uint64_t>> adj(kWidth * kLevels);
+  for (std::uint64_t v = 0; v < adj.size(); ++v) {
+    const std::uint64_t level = v / kWidth, i = v % kWidth;
+    const std::uint64_t next = (level + 1) % kLevels * kWidth;
+    adj[v] = {next + (i * 7 + 1) % kWidth, next + (i * 13 + 3) % kWidth,
+              next + (i * 31 + 11) % kWidth};
+    if (level > 0) adj[v].push_back(v - kWidth);
+  }
+  std::vector<std::uint64_t> roots(kWidth);
+  for (std::uint64_t i = 0; i < kWidth; ++i) roots[i] = i;
+  return ToySystem(roots, adj);
+}
+
+/// Records every fresh (id, state) pair in the interning thread's Local and
+/// flags the fresh states of level 6 whose index is 100 mod 512, so the
+/// reported witness is the minimal id among eight candidates.
+struct RecordingHooks : detail::FrontierHooks {
+  static constexpr detail::FrontierNames kNames{"rec.expand", "rec.drain", "rec.level", "rec"};
+  struct Local {
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> fresh;
+  };
+  void known(Local&, std::uint32_t /*from*/, std::uint32_t /*id*/, const Tag&) const {}
+  bool expanded(Local&, std::uint32_t /*from*/, const Tag&, std::size_t /*emitted*/) const {
+    return false;
+  }
+  bool interned(Local& l, unsigned /*shard*/, std::uint32_t id, bool is_new,
+                const ToySystem::State& s, std::uint32_t /*parent*/, const Tag&) const {
+    if (is_new) l.fresh.emplace_back(id, s[0]);
+    return is_new && s[0] / 4096 == 6 && s[0] % 512 == 100;
+  }
+};
+
+struct RecordedRun {
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> ids;  // sorted by id
+  std::uint32_t witness = 0;
+  std::vector<ToySystem::State> trace;
+  RunStats stats;
+};
+
+RecordedRun record_run(const ToySystem& ts, const EngineOptions& opts) {
+  return detail::with_frontier_store<ToySystem::kWords>(opts.store, [&]<class Map>() {
+    RecordedRun run;
+    RecordingHooks hooks;
+    detail::FrontierSearch<Map, ToySystem, RecordingHooks> search(ts, hooks, opts, run.stats);
+    search.run();
+    search.finish_stats();
+    for (auto& c : search.contexts()) {
+      run.ids.insert(run.ids.end(), c.local.fresh.begin(), c.local.fresh.end());
+    }
+    std::sort(run.ids.begin(), run.ids.end());
+    run.witness = search.witness();
+    if (run.witness != Map::kEmpty) run.trace = search.trace_to(run.witness);
+    return run;
+  });
+}
+
+TEST(ParallelReachability, MoreThreadsThanShardsKeepsIdsAndTraces) {
+  // 16 threads claim one shard each in drain, 17 leave one thread without a
+  // shard; ids, frontiers, the witness and its trace must not notice.
+  const ToySystem ts = wide_layers();
+  auto goal = [](const ToySystem::State& s) { return s[0] / 4096 == 7; };
+  for (StoreKind kind : {StoreKind::kShardedLocked, StoreKind::kLockFree}) {
+    const RecordedRun base = record_run(ts, with_store(1, kind));
+    ASSERT_EQ(base.stats.frontier_sizes,
+              (std::vector<std::size_t>{4096, 4096, 4096, 4096, 4096, 4096}));
+    ASSERT_EQ(base.ids.size(), 7u * 4096);
+    ASSERT_EQ(base.trace.size(), 7u);
+    const auto base_live = check_eventually_parallel(ts, goal, with_store(1, kind));
+    ASSERT_EQ(base_live.verdict, LivenessVerdict::kCycle);
+    for (int t : {16, 17}) {
+      const RecordedRun r = record_run(ts, with_store(t, kind));
+      const std::string at = std::string(to_string(kind)) + " threads=" + std::to_string(t);
+      EXPECT_EQ(r.ids, base.ids) << at;
+      EXPECT_EQ(r.stats.frontier_sizes, base.stats.frontier_sizes) << at;
+      EXPECT_EQ(r.witness, base.witness) << at;
+      EXPECT_EQ(r.trace, base.trace) << at;
+      EXPECT_EQ(r.stats.transitions, base.stats.transitions) << at;
+      EXPECT_EQ(r.stats.hash_ops, r.stats.transitions + 4096) << at;
+
+      const auto live = check_eventually_parallel(ts, goal, with_store(t, kind));
+      EXPECT_EQ(live.verdict, base_live.verdict) << at;
+      EXPECT_EQ(live.stats.states, base_live.stats.states) << at;
+      EXPECT_EQ(live.stats.frontier_sizes, base_live.stats.frontier_sizes) << at;
+      EXPECT_EQ(live.trace, base_live.trace) << at;
+      EXPECT_EQ(live.loop_start, base_live.loop_start) << at;
+    }
+  }
+}
+
 TEST(ParallelReachability, ProgressCallbackSeesEveryLevel) {
   ToySystem ts({0}, {{1}, {2}, {3}, {4}, {4}});
   EngineOptions opts;
@@ -224,14 +334,6 @@ TEST(ParallelReachability, FrontierSizesRecorded) {
 // must fail loudly (StateCapacityError, propagated out of the worker pool)
 // when a level outgrows its quiescently-grown probe tables.
 // ---------------------------------------------------------------------------
-
-EngineOptions with_store(int threads, StoreKind kind, std::size_t budget_bytes = 0) {
-  EngineOptions o;
-  o.threads = threads;
-  o.store.kind = kind;
-  o.store.mem_budget_bytes = budget_bytes;
-  return o;
-}
 
 TEST(ParallelReachability, LockFreeStoreMatchesLockedBitIdentically) {
   std::vector<std::vector<std::uint64_t>> adj(500);
@@ -299,7 +401,8 @@ TEST(ParallelReachability, LockFreeStoreCapacityErrorPropagatesMidLevel) {
   auto pred = [](const ToySystem::State&) { return true; };
   EXPECT_THROW(check_invariant_parallel(ts, pred, with_store(4, StoreKind::kLockFree)),
                StateCapacityError);
-  // The locked store grows inline under its shard mutex: same input completes.
+  // The locked store grows inline on its single-writer insert: same input
+  // completes.
   auto r = check_invariant_parallel(ts, pred, with_store(4, StoreKind::kShardedLocked));
   EXPECT_EQ(r.verdict, Verdict::kHolds);
   EXPECT_EQ(r.stats.states, 1 + kHubs + kHubs * kFan);

@@ -54,16 +54,6 @@ TEST(ShardedStateIndexMap, MatchesReferenceAcrossGrowth) {
   }
 }
 
-TEST(ShardedStateIndexMap, SerialAndLockedInsertAgree) {
-  Map2 locked(16);
-  Map2 serial(16);
-  for (std::uint64_t i = 0; i < 5000; ++i) {
-    const auto s = make_state(i * 7, i);
-    EXPECT_EQ(locked.insert(s).first, serial.insert_serial(s).first);
-  }
-  EXPECT_EQ(locked.size(), serial.size());
-}
-
 TEST(ShardedStateIndexMap, DeterministicIdsAcrossRuns) {
   std::vector<std::uint32_t> ids[2];
   for (auto& run : ids) {
@@ -88,55 +78,49 @@ TEST(ShardedStateIndexMap, ReservePreventsMidRunRehashEffects) {
   }
 }
 
-// The TSan target: 8 threads hammer insert() with heavily overlapping state
-// sets, so the same shard (and the same state) is contended from many
-// threads at once. Run under -fsanitize=thread in CI. Per the header's
-// thread-safety contract, at()/find() require quiescence w.r.t. same-shard
-// inserts (the level-synchronous engines read only between write phases),
-// so each worker records the ids it saw and every check runs after join —
-// the lock-free store's torture test is the one that exercises truly
-// concurrent read/write.
-TEST(ShardedStateIndexMap, ConcurrentInsertStress) {
-  constexpr int kThreads = 8;
-  constexpr std::uint64_t kUniverse = 20000;  // every thread inserts all of it
-  Map2 map(16);
+// The TSan target, in the frontier engines' drain shape: 8 threads each own 2
+// of the 16 shards, walk one shared key sequence and intern only the keys
+// their shards own, so every shard has exactly one writer while the others
+// are written concurrently. The tiny initial capacity makes shards grow
+// inline mid-run. Per the header's contract reads wait for quiescence, so
+// each thread stores the ids it gets at its keys' positions and every check
+// runs after join, against a serial map fed the same sequence.
+TEST(ShardedStateIndexMap, OwnerPartitionedConcurrentInsert) {
+  constexpr unsigned kThreads = 8;
+  constexpr unsigned kShards = 16;
+  constexpr std::uint64_t kUniverse = 20000;
+  std::vector<Map2::State> keys;
+  Rng rng(7);
+  for (int i = 0; i < 120000; ++i) {
+    const std::uint64_t key = rng.next() % kUniverse;
+    keys.push_back(make_state(key, key * 1315423911ull));
+  }
 
-  std::vector<std::vector<std::uint32_t>> seen_ids(kThreads,
-                                                   std::vector<std::uint32_t>(kUniverse, Map2::kEmpty));
+  Map2 serial(kShards, 64);
+  std::vector<std::uint32_t> want;
+  for (const auto& s : keys) want.push_back(serial.insert_serial(s).first);
+
+  Map2 map(kShards, 64);
+  std::vector<std::uint32_t> got(keys.size(), Map2::kEmpty);
   std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&map, &ids = seen_ids[t], t] {
-      Rng rng(7 * t + 1);
-      for (int i = 0; i < 60000; ++i) {
-        const std::uint64_t key = rng.next() % kUniverse;
-        const auto s = make_state(key, key * 1315423911ull);
-        const auto [id, fresh] = map.insert(s);
-        // The id must be stable whichever thread won the race to intern the
-        // state: remember it, cross-check against every other thread below.
-        if (ids[key] != Map2::kEmpty && ids[key] != id) {
-          ADD_FAILURE() << "key " << key << " changed id " << ids[key] << " -> " << id;
-          return;
-        }
-        ids[key] = id;
-        (void)fresh;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        if (map.shard_of(keys[i]) % kThreads != t) continue;  // shards t and t + 8
+        got[i] = map.insert(keys[i]).first;
       }
     });
   }
   for (auto& w : workers) w.join();
 
-  EXPECT_EQ(map.size(), kUniverse);
-  std::unordered_set<std::uint32_t> ids;
-  for (std::uint64_t key = 0; key < kUniverse; ++key) {
-    const auto s = make_state(key, key * 1315423911ull);
-    const std::uint32_t id = map.find(s);
-    ASSERT_NE(id, Map2::kEmpty);
-    EXPECT_EQ(map.at(id), s);
-    EXPECT_TRUE(ids.insert(id).second) << "duplicate id " << id;
-    for (int t = 0; t < kThreads; ++t) {
-      ASSERT_TRUE(seen_ids[t][key] == Map2::kEmpty || seen_ids[t][key] == id)
-          << "thread " << t << " saw a different id for key " << key;
-    }
+  EXPECT_EQ(got, want);
+  ASSERT_EQ(map.size(), serial.size());
+  for (unsigned sh = 0; sh < kShards; ++sh) {
+    EXPECT_EQ(map.shard_size(sh), serial.shard_size(sh)) << "shard " << sh;
+  }
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(map.find(keys[i]), want[i]);
+    ASSERT_EQ(map.at(want[i]), keys[i]);
   }
 }
 

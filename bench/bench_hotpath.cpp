@@ -89,7 +89,9 @@ std::vector<State> candidate_stream(const tt::tta::Cluster& cluster,
 /// The successor-enumeration cells: fault 0 puts the Byzantine node at
 /// id 0, the fastest digit of the kernel's node-choice odometer; fault 1 at
 /// id n-1, the slowest; fault 2 replaces it by a faulty hub 0, whose
-/// per-port relay options, not the node's output pairs, fan out a step.
+/// per-port relay options, not the node's output pairs, fan out a step. The
+/// third argument is the tta::Reduction the cluster emits under (0 none,
+/// 1 sym, 3 sym+por), over that reduction's own reachable set.
 tt::tta::ClusterConfig enumeration_config(int n, int fault) {
   tt::tta::ClusterConfig cfg = hotpath_config(n);
   if (fault == 1) cfg.faulty_node = n - 1;
@@ -102,7 +104,8 @@ tt::tta::ClusterConfig enumeration_config(int n, int fault) {
 
 void BM_SuccessorEnumeration(benchmark::State& state) {
   const tt::tta::Cluster cluster(enumeration_config(static_cast<int>(state.range(0)),
-                                                    static_cast<int>(state.range(1))));
+                                                    static_cast<int>(state.range(1))),
+                                 static_cast<tt::tta::Reduction>(state.range(2)));
   const auto all = reachable_states(cluster);
   std::size_t transitions = 0;
   for (auto _ : state) {
@@ -122,12 +125,18 @@ void BM_SuccessorEnumeration(benchmark::State& state) {
                          benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SuccessorEnumeration)
-    ->ArgNames({"n", "fault"})
-    ->Args({3, 0})
-    ->Args({3, 1})
-    ->Args({3, 2})
-    ->Args({4, 0})
-    ->Args({4, 1})
+    ->ArgNames({"n", "fault", "red"})
+    ->Args({3, 0, 0})
+    ->Args({3, 1, 0})
+    ->Args({3, 2, 0})
+    ->Args({4, 0, 0})
+    ->Args({4, 1, 0})
+    ->Args({4, 0, 3})
+    ->Args({4, 1, 3})
+    ->Args({5, 0, 3})
+    ->Args({5, 1, 3})
+    ->Args({3, 2, 1})
+    ->Args({4, 2, 1})
     ->Unit(benchmark::kMillisecond);
 
 void BM_InternFlat(benchmark::State& state) {

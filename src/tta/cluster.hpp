@@ -15,12 +15,11 @@
 #include "tta/config.hpp"
 #include "tta/faulty_node.hpp"
 #include "tta/hub.hpp"
+#include "tta/independence.hpp"
 #include "tta/node.hpp"
+#include "tta/symmetry.hpp"
 
 namespace tt::tta {
-
-class Canonicalizer;
-struct PorStats;
 
 /// Fully unpacked cluster state (for model code, properties, and printing).
 struct ClusterState {
@@ -37,8 +36,8 @@ struct ClusterState {
 
 class Cluster {
  public:
-  static constexpr std::size_t kWords = 3;
-  using State = std::array<std::uint64_t, kWords>;
+  using State = PackedState;
+  static constexpr std::size_t kWords = std::tuple_size_v<State>;
   using Emit = FunctionRef<void(const State&)>;
   using EmitUnpacked = FunctionRef<void(const ClusterState&)>;
 
@@ -135,6 +134,9 @@ class Cluster {
   /// Per-call memo of the hub phase (cluster.cpp); lives on the stack of
   /// one successors()/step_unpacked() call.
   struct StepMemo;
+  /// The orbit-canonicalizing sink of the sym and sym+por modes
+  /// (cluster.cpp, DESIGN.md §3.6); one per successors() call.
+  struct CanonPackSink;
 
   /// The step kernel, generic over how successors leave it. A *group* is a
   /// run of consecutive successors that share one choice for every correct
@@ -156,7 +158,13 @@ class Cluster {
 
   /// Word-wise minimum of a canonical state and its channel-swapped image
   /// (the C3 orbit representative); shared by canonicalize and reduce.
-  [[nodiscard]] State min_swap_pack(const ClusterState& c, const Canonicalizer& canon) const;
+  [[nodiscard]] State min_swap_pack(const ClusterState& c) const;
+
+  /// The partial-order reducer when the reduction has a por component,
+  /// else null.
+  [[nodiscard]] const PartialOrderReducer* por() const noexcept {
+    return reduction_has_por(reduction_) ? &reducer_ : nullptr;
+  }
 
   /// Adds one exploration call's clamp decisions to the relaxed counters.
   void flush_por_stats(const PorStats& stats) const;
@@ -164,14 +172,15 @@ class Cluster {
   /// Serializes the per-node prefix of the packed layout (the bits of `s`
   /// before hub 0; the rest must be zero).
   void pack_node_prefix(State& s, const NodeVars* nodes) const;
+  /// A node record's node_bits_ bits, as pack_node_prefix places them.
+  [[nodiscard]] std::uint64_t node_value(const NodeVars& v) const noexcept;
+  /// A frame's frame_bits_ bits, as pack_hub places them.
+  [[nodiscard]] std::uint64_t frame_value(const Frame& f) const noexcept;
   /// Serializes hub `h` at its fixed offset (its bits of `s` must be zero).
   void pack_hub(State& s, int h, const HubVars& v) const;
   /// Serializes startup_time and restarts_used, the last fields of the
   /// layout (their bits of `s` must be zero).
   void pack_tail(State& s, std::uint8_t startup_time, std::uint8_t restarts_used) const;
-  /// Everything after the node prefix: both hubs, then the tail.
-  void pack_hub_suffix(State& s, const HubVars& h0, const HubVars& h1,
-                       std::uint8_t startup_time, std::uint8_t restarts_used) const;
 
   static int pow3(int n) noexcept {
     int r = 1;
@@ -182,6 +191,11 @@ class Cluster {
   ClusterConfig cfg_;
   Reduction reduction_ = Reduction::kNone;
   FaultyNodeOutputs faulty_outputs_;
+  /// The orbit canonicalizer (every mode: canonicalize() serves unreduced
+  /// clusters too) and the partial-order reducer, built once per cluster
+  /// over cfg_.
+  const Canonicalizer canon_;
+  const PartialOrderReducer reducer_;
   mutable std::atomic<std::uint64_t> canon_ops_{0};
   mutable std::atomic<std::uint64_t> canon_swaps_{0};
   mutable std::atomic<std::uint64_t> por_ample_{0};
@@ -189,6 +203,7 @@ class Cluster {
   mutable std::atomic<std::uint64_t> por_declined_{0};
   int counter_bits_ = 0;
   int pos_bits_ = 0;
+  int node_bits_ = 0;  ///< one node record: state, counter, pos, big_bang
   int frame_bits_ = 0;
   int st_bits_ = 0;
   int restart_bits_ = 0;

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "support/assert.hpp"
+#include "tta/cluster.hpp"
 #include "tta/faulty_node.hpp"
 
 namespace tt::tta {
@@ -17,72 +18,70 @@ bool same_reception(const NodeReception& a, const NodeReception& b) {
 
 }  // namespace
 
-Canonicalizer::Canonicalizer(const ClusterConfig& cfg) : cfg_(cfg) {
+Canonicalizer::Canonicalizer(const ClusterConfig& cfg) : cfg_(&cfg) {
   // C3 admissibility. A faulty hub pins channel identity (the fault lives on
   // one channel), and the kCorrectHubSynced timeliness target names "the
   // first correct hub" by index — both break the swap globally. The δ_init
   // wake-up asymmetry (hub 0 is the delayed guardian) is handled per state
   // by swap_eligible: it only exists while a hub is still in INIT.
-  swap_allowed_ = cfg_.faulty_hub == ClusterConfig::kNone &&
-                  !(cfg_.timeliness_bound > 0 &&
-                    cfg_.timeliness_target == TimelinessTarget::kCorrectHubSynced);
+  swap_allowed_ = cfg_->faulty_hub == ClusterConfig::kNone &&
+                  !(cfg_->timeliness_bound > 0 &&
+                    cfg_->timeliness_target == TimelinessTarget::kCorrectHubSynced);
 }
 
-void Canonicalizer::canonicalize_nodes(NodeVars* nodes, bool listener[],
-                                       bool& any_listener) const {
-  any_listener = false;
-  for (int i = 0; i < cfg_.n; ++i) {
-    if (!cfg_.big_bang) nodes[i].big_bang = false;  // C0: bit never read
-    const bool l = !cfg_.node_is_faulty(i) && (nodes[i].state == NodeState::kListen ||
-                                               nodes[i].state == NodeState::kColdstart);
-    listener[i] = l;
-    any_listener = any_listener || l;
-  }
+bool Canonicalizer::canonicalize_node(int i, NodeVars& v) const {
   // C4: the Byzantine node's stored record is write-only — step_core
   // recomputes its successor variables and admitted output pairs from the
   // *hub* lock bits every step, and every property skips it by
   // configuration index — so the record collapses to the lock-free constant.
-  if (cfg_.faulty_node != ClusterConfig::kNone) {
-    nodes[cfg_.faulty_node] = faulty_node_vars(cfg_, 0);
+  if (cfg_->node_is_faulty(i)) {
+    v = faulty_node_vars(*cfg_, 0);
+    return false;
   }
+  if (!cfg_->big_bang) v.big_bang = false;  // C0: bit never read
+  return v.state == NodeState::kListen || v.state == NodeState::kColdstart;
+}
+
+void Canonicalizer::canonicalize_broadcasts(Frame& out0, Frame& out1, bool any_listener) {
+  // C1/C5 on the broadcast pair: stored frames are consumed only by
+  // classify_reception — symmetric in the pair, blind to collision
+  // details, and only run by correct nodes in LISTEN/COLDSTART — so the
+  // pair collapses to its reception outcome's fixed representative.
+  if (any_listener) {
+    const NodeReception r = classify_reception(out0, out1);
+    if (r.collision) {  // any same-kind time-mismatch, of either kind
+      out0 = Frame::cs(0);
+      out1 = Frame::cs(1);
+      return;
+    }
+    if (r.i_frame) {  // a cs-frame losing against an i-frame vanishes
+      out0 = Frame::i(r.time);
+      out1 = Frame::quiet();
+      return;
+    }
+    if (r.cs_frame) {
+      out0 = Frame::cs(r.time);
+      out1 = Frame::quiet();
+      return;
+    }
+  }
+  out0 = Frame::quiet();
+  out1 = Frame::quiet();
 }
 
 void Canonicalizer::canonicalize_hubs(HubVars& h0, HubVars& h1, const bool listener[],
                                       bool any_listener) const {
-  if (cfg_.faulty_hub == ClusterConfig::kNone) {
-    // C1/C5 on the broadcast pair: stored frames are consumed only by
-    // classify_reception — symmetric in the pair, blind to collision
-    // details, and only run by correct nodes in LISTEN/COLDSTART — so the
-    // pair collapses to its reception outcome's fixed representative.
-    if (any_listener) {
-      const NodeReception r = classify_reception(h0.out, h1.out);
-      if (r.collision) {  // any same-kind time-mismatch, of either kind
-        h0.out = Frame::cs(0);
-        h1.out = Frame::cs(1);
-        return;
-      }
-      if (r.i_frame) {  // a cs-frame losing against an i-frame vanishes
-        h0.out = Frame::i(r.time);
-        h1.out = Frame::quiet();
-        return;
-      }
-      if (r.cs_frame) {
-        h0.out = Frame::cs(r.time);
-        h1.out = Frame::quiet();
-        return;
-      }
-    }
-    h0.out = Frame::quiet();
-    h1.out = Frame::quiet();
+  if (cfg_->faulty_hub == ClusterConfig::kNone) {
+    canonicalize_broadcasts(h0.out, h1.out, any_listener);
     return;
   }
 
-  HubVars& cv = cfg_.faulty_hub == 0 ? h1 : h0;  // the correct hub
-  HubVars& fv = cfg_.faulty_hub == 0 ? h0 : h1;  // the faulty hub
+  HubVars& cv = cfg_->faulty_hub == 0 ? h1 : h0;  // the correct hub
+  HubVars& fv = cfg_->faulty_hub == 0 ? h0 : h1;  // the faulty hub
   // C1 on the correct hub's shared broadcast; it cannot be rewritten per
   // receiver, so only the unusable/unread collapse applies.
   if (!any_listener || !(cv.out.is_cs() || cv.out.is_i())) cv.out = Frame::quiet();
-  for (int j = 0; j < cfg_.n; ++j) {
+  for (int j = 0; j < cfg_->n; ++j) {
     Frame& f = fv.out_per_port[j];
     if (!listener[j]) {
       f = Frame::quiet();  // C1: never read
@@ -97,7 +96,7 @@ void Canonicalizer::canonicalize_hubs(HubVars& h0, HubVars& h1, const bool liste
         // Collisions are same-kind time-mismatches against the broadcast
         // (cross-kind pairs resolve in the i-frame's favour); any
         // mismatching slot collides, so shift the broadcast's by one.
-        const auto t = static_cast<std::uint8_t>((cv.out.time + 1) % cfg_.n);
+        const auto t = static_cast<std::uint8_t>((cv.out.time + 1) % cfg_->n);
         f = cv.out.is_cs() ? Frame::cs(t) : Frame::i(t);
       } else if (r.i_frame) {
         f = Frame::i(r.time);
@@ -108,23 +107,26 @@ void Canonicalizer::canonicalize_hubs(HubVars& h0, HubVars& h1, const bool liste
     // C2 on the frozen pattern: a kNoise port delivers noise, which every
     // receiver treats exactly like kQuiet's silence (and C1/C5 store both
     // as quiet); the faulty node's own port is never read at all.
-    if (fv.port_mode(j) == HubPortMode::kNoise || cfg_.node_is_faulty(j)) {
+    if (fv.port_mode(j) == HubPortMode::kNoise || cfg_->node_is_faulty(j)) {
       fv.set_port_mode(j, HubPortMode::kQuiet);
     }
   }
 }
 
 void Canonicalizer::canonicalize_vars(ClusterState& c) const {
-  bool listener[kMaxNodes];
+  bool listener[kMaxNodes] = {};
   bool any_listener = false;
-  canonicalize_nodes(c.node, listener, any_listener);
+  for (int i = 0; i < cfg_->n; ++i) {
+    listener[i] = canonicalize_node(i, c.node[i]);
+    any_listener = any_listener || listener[i];
+  }
   canonicalize_hubs(c.hub[0], c.hub[1], listener, any_listener);
 }
 
 void Canonicalizer::swap_channels(ClusterState& c) const {
   std::swap(c.hub[0], c.hub[1]);
-  if (cfg_.faulty_node != ClusterConfig::kNone) {
-    NodeVars& v = c.node[cfg_.faulty_node];
+  if (cfg_->faulty_node != ClusterConfig::kNone) {
+    NodeVars& v = c.node[cfg_->faulty_node];
     v.state = swap_node_state(v.state);
   }
 }

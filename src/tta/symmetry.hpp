@@ -62,7 +62,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "tta/cluster.hpp"
 #include "tta/config.hpp"
 #include "tta/hub.hpp"
 #include "tta/node.hpp"
@@ -70,23 +69,31 @@
 
 namespace tt::tta {
 
+class Cluster;
+struct ClusterState;
+
 /// The canonicalization components C0-C3, precomputed per configuration.
-/// Pure functions of (config, state); safe to share across threads.
+/// Pure functions of (config, state); safe to share across threads. Keeps a
+/// reference to `cfg`, which must outlive it.
 class Canonicalizer {
  public:
-  Canonicalizer() = default;
   explicit Canonicalizer(const ClusterConfig& cfg);
+  explicit Canonicalizer(const ClusterConfig&& cfg) = delete;
 
-  /// C0 and C4 on the node array, plus the listener analysis C1/C5 depend
-  /// on: `listener[i]` = node i is a correct node in LISTEN/COLDSTART (the
-  /// only states in which a node reads its delivered frames next step).
-  void canonicalize_nodes(NodeVars* nodes, bool listener[], bool& any_listener) const;
+  /// C0 and C4 on node i's record, in place. Returns whether node i is a
+  /// listener: a correct node in LISTEN/COLDSTART, the only states in which
+  /// a node reads its delivered frames next step (C1/C5 depend on this).
+  bool canonicalize_node(int i, NodeVars& v) const;
 
   /// C1/C5 (+ C2 for a faulty hub) on the delivered-frame pair, given the
   /// listener analysis of the *same* state's nodes. Joint over both hubs
   /// because the reception-class collapse is a property of the pair.
   void canonicalize_hubs(HubVars& h0, HubVars& h1, const bool listener[],
                          bool any_listener) const;
+
+  /// C1/C5 on the broadcast pair of two correct hubs (the part of
+  /// canonicalize_hubs that reads no other hub variable).
+  static void canonicalize_broadcasts(Frame& out0, Frame& out1, bool any_listener);
 
   /// All of C0-C2, C4, C5 on an unpacked state, in place (test/oracle entry
   /// point; the hot path uses the split functions above).
@@ -117,14 +124,14 @@ class Canonicalizer {
   }
 
  private:
-  ClusterConfig cfg_;
+  const ClusterConfig* cfg_;
   bool swap_allowed_ = false;
 };
 
 /// A concretized counterexample over the *raw* (unreduced) transition
 /// relation; `loop_start` is remapped when lasso unrolling extends the trace.
 struct ConcreteTrace {
-  std::vector<Cluster::State> trace;
+  std::vector<PackedState> trace;
   std::size_t loop_start = 0;
 };
 
@@ -146,7 +153,7 @@ struct ConcreteTrace {
 /// lap-entry state repeats (image classes are finite, so this terminates),
 /// and `loop_start` is remapped accordingly.
 [[nodiscard]] ConcreteTrace concretize_trace(const Cluster& raw, Reduction mode,
-                                             const std::vector<Cluster::State>& quotient,
+                                             const std::vector<PackedState>& quotient,
                                              std::size_t loop_start, bool has_loop,
                                              bool initial_root);
 

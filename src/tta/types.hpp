@@ -3,6 +3,7 @@
 // faulty-node outputs (paper Fig. 3).
 #pragma once
 
+#include <array>
 #include <cstdint>
 
 namespace tt::tta {
@@ -166,5 +167,9 @@ enum class FaultRank : std::uint8_t {
 };
 
 constexpr int kNumChannels = 2;
+
+/// A bit-packed cluster state (Cluster::State): every variable of one
+/// ClusterState in three 64-bit words.
+using PackedState = std::array<std::uint64_t, 3>;
 
 }  // namespace tt::tta

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <set>
 #include <vector>
 
 #include "tta/cluster.hpp"
@@ -263,19 +264,23 @@ TEST(Independence, ReducedEmissionsAreFixedPointsOfReduce) {
   for (const Reduction mode : {Reduction::kPartialOrder, Reduction::kSymPor}) {
     const ClusterConfig cfg = fig6_config(3);
     const Cluster reduced(cfg, mode);
+    std::set<Cluster::State> seen;
     std::vector<Cluster::State> frontier;
     reduced.initial_states([&](const Cluster::State& s) {
       EXPECT_EQ(reduced.reduce(s), s) << to_string(mode) << " (initial)";
-      frontier.push_back(s);
+      if (seen.insert(s).second) frontier.push_back(s);
     });
-    int checked = 0;
-    for (std::size_t i = 0; i < frontier.size() && checked < 2000; ++i) {
+    std::size_t checked = 0;
+    for (std::size_t i = 0; i < frontier.size(); ++i) {
       reduced.successors(frontier[i], [&](const Cluster::State& t) {
-        if (checked++ < 2000) {
-          EXPECT_EQ(reduced.reduce(t), t) << to_string(mode);
-        }
+        ++checked;
+        EXPECT_EQ(reduced.reduce(t), t) << to_string(mode) << " state #" << i;
+        if (seen.insert(t).second) frontier.push_back(t);
       });
     }
+    // The walk covered the reachable set, not just the initial states.
+    EXPECT_GT(frontier.size(), 100u) << to_string(mode);
+    EXPECT_GT(checked, frontier.size()) << to_string(mode);
   }
 }
 

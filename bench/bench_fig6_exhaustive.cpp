@@ -162,8 +162,8 @@ void mark_reduced(tt::BenchRecord& rec, const tt::core::VerificationResult& r,
 int possibly_one_core_flag() { return tt::probe_possibly_one_core(); }
 
 // The engine-comparison experiment: the exhaustive degree-6 safety run
-// (feedback on) with the sequential BFS engine, the symbolic BDD-set
-// engine, and the parallel frontier engine at 1, 2, 4 and
+// (feedback on) with `seq` (the frontier engine at one thread), the
+// symbolic BDD-set engine, and the frontier engine at 1, 2, 4 and
 // hardware-concurrency threads (deduplicated — on a 4-core machine the hw
 // point coincides with 4). Verdict and state count must be identical; the
 // JSON records carry states/sec for the perf trajectory, with `threads`

@@ -6,8 +6,9 @@
 //     interning) — the generation side of the pipeline;
 //   * intern-only throughput: pushing a pre-materialized candidate stream
 //     (the real BFS candidate mix: ~99% duplicates at fault degree 6)
-//     through StateIndexMap and ShardedStateIndexMap, with and without the
-//     hash-once + recently-seen-cache front end — the consumption side.
+//     through ShardedStateIndexMap and LockFreeStateIndexMap, with and
+//     without the hash-once + recently-seen-cache front end — the
+//     consumption side.
 //
 // Together they bound what any engine schedule can achieve and make hash /
 // cache regressions visible in isolation, without BFS noise on top.
@@ -20,14 +21,12 @@
 #include <thread>
 #include <vector>
 
-#include "mc/explore.hpp"
 #include "support/bench_report.hpp"
 #include "support/hash.hpp"
 #include "support/lockfree_state_index_map.hpp"
 #include "support/one_core_probe.hpp"
 #include "support/recent_cache.hpp"
 #include "support/sharded_state_index_map.hpp"
-#include "support/state_index_map.hpp"
 #include "support/table.hpp"
 #include "support/timer.hpp"
 #include "tta/cluster.hpp"
@@ -53,19 +52,19 @@ tt::tta::ClusterConfig hotpath_config(int n) {
   return cfg;
 }
 
-/// The reachable set of the fig6 safety model, BFS order.
+/// The reachable set of the fig6 safety model, BFS order: a one-shard store
+/// assigns dense ids in insertion order, so it is its own BFS queue.
 std::vector<State> reachable_states(const tt::tta::Cluster& cluster) {
-  tt::mc::detail::BfsCore<kW> bfs(/*track_parents=*/false);
-  auto visit = [&](const State& s) {
-    bfs.visit(s, tt::mc::detail::BfsCore<kW>::kNoParent, tt::hash_words(s));
-  };
+  tt::ShardedStateIndexMap<kW> seen;
+  auto visit = [&](const State& s) { seen.insert_serial(s, tt::hash_words(s)); };
   cluster.initial_states(visit);
-  for (std::size_t head = 0; head < bfs.queue.size(); ++head) {
-    cluster.successors(bfs.seen.at(bfs.queue[head]), visit);
+  for (std::uint32_t head = 0; head < seen.size(); ++head) {
+    const State s = seen.at(head);
+    cluster.successors(s, visit);
   }
   std::vector<State> all;
-  all.reserve(bfs.seen.size());
-  for (std::uint32_t i = 0; i < bfs.seen.size(); ++i) all.push_back(bfs.seen.at(i));
+  all.reserve(seen.size());
+  for (std::uint32_t i = 0; i < seen.size(); ++i) all.push_back(seen.at(i));
   return all;
 }
 
@@ -139,12 +138,12 @@ BENCHMARK(BM_SuccessorEnumeration)
     ->Args({4, 2, 1})
     ->Unit(benchmark::kMillisecond);
 
-void BM_InternFlat(benchmark::State& state) {
+void BM_InternSharded(benchmark::State& state) {
   const tt::tta::Cluster cluster(hotpath_config(4));
   const auto stream = candidate_stream(cluster, reachable_states(cluster), 500000);
   const bool cached = state.range(0) != 0;
   for (auto _ : state) {
-    tt::StateIndexMap<kW> map;
+    tt::ShardedStateIndexMap<kW> map;
     tt::RecentSeenCache cache;
     std::uint64_t acc = 0;
     for (const State& s : stream) {
@@ -166,25 +165,7 @@ void BM_InternFlat(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(stream.size()) * state.iterations(),
                          benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_InternFlat)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-void BM_InternSharded(benchmark::State& state) {
-  const tt::tta::Cluster cluster(hotpath_config(4));
-  const auto stream = candidate_stream(cluster, reachable_states(cluster), 500000);
-  for (auto _ : state) {
-    tt::ShardedStateIndexMap<kW> map;
-    std::uint64_t acc = 0;
-    for (const State& s : stream) {
-      auto [idx, fresh] = map.insert(s, tt::hash_words(s));
-      acc += idx;
-    }
-    benchmark::DoNotOptimize(acc);
-  }
-  state.counters["candidates"] =
-      benchmark::Counter(static_cast<double>(stream.size()) * state.iterations(),
-                         benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_InternSharded)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_InternSharded)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_InternLockFree(benchmark::State& state) {
   const tt::tta::Cluster cluster(hotpath_config(4));
@@ -457,14 +438,8 @@ void emit_report(tt::BenchReport& report) {
     return timer.seconds();
   };
 
-  add("hotpath/intern/flat", "seq", stream.size(), timed([&] {
-        tt::StateIndexMap<kW> map;
-        std::uint64_t acc = 0;
-        for (const State& s : stream) acc += map.insert(s, tt::hash_words(s)).first;
-        return acc;
-      }));
-  add("hotpath/intern/flat_cached", "seq", stream.size(), timed([&] {
-        tt::StateIndexMap<kW> map;
+  add("hotpath/intern/sharded_cached", "seq", stream.size(), timed([&] {
+        tt::ShardedStateIndexMap<kW> map;
         tt::RecentSeenCache cache;
         std::uint64_t acc = 0;
         for (const State& s : stream) {
@@ -474,7 +449,7 @@ void emit_report(tt::BenchReport& report) {
             acc += hint;
             continue;
           }
-          auto [idx, fresh] = map.insert(s, h);
+          auto [idx, fresh] = map.insert_serial(s, h);
           cache.remember(h, idx);
           acc += idx;
         }

@@ -15,7 +15,11 @@
 //     --restarts <k>        transient-restart budget (§2.1)
 //     --no-feedback         disable the feedback optimization
 //     --no-bigbang          disable the big-bang mechanism (§5.2)
-//     --engine <kind>       auto|seq|par|sym|kind|ic3 (default auto). kind =
+//     --engine <kind>       auto|seq|par|sym|kind|ic3 (default auto). seq =
+//                           the frontier BFS at one thread on invariant
+//                           lemmas and the lasso DFS on liveness lemmas;
+//                           par = the frontier BFS / OWCTY on --threads
+//                           threads; auto = par. kind =
 //                           k-induction and ic3 = IC3/PDR are the SAT-based
 //                           proof engines (DESIGN.md §3.10): they run on the
 //                           star-cluster IR instead of enumerating states
@@ -28,9 +32,9 @@
 //                           ample-set clamp quotient (DESIGN.md §3.8),
 //                           sym+por composes both; counterexamples are
 //                           re-concretized against the raw model
-//     --threads <k>         worker threads for the parallel engine, k >= 0
-//                           (default or 0: TTSTART_THREADS env, else all
-//                           cores)
+//     --threads <k>         worker threads for par/auto, k >= 0 (seq runs
+//                           on one; default or 0: TTSTART_THREADS env, else
+//                           all cores)
 //     --store <kind>        locked|lockfree explicit-state store backend
 //                           (default locked); lockfree is the CAS-based
 //                           store with closed-set compression and

@@ -4,7 +4,6 @@
 #include "bmc/kinduction.hpp"
 #include "mc/liveness.hpp"
 #include "mc/parallel_liveness.hpp"
-#include "mc/parallel_reachability.hpp"
 #include "mc/reachability.hpp"
 #include "mc/symbolic_liveness.hpp"
 #include "mc/symbolic_reachability.hpp"

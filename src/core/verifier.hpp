@@ -3,12 +3,13 @@
 // experiments are organized (a lemma x configuration grid, Figs. 4 and 6).
 //
 // Engine selection: every lemma runs on the parallel engine by default —
-// frontier BFS for invariants (mc/parallel_reachability.hpp), OWCTY
+// frontier BFS for invariants (mc/reachability.hpp), OWCTY
 // goal-free-cycle trimming for the liveness lemmas
 // (mc/parallel_liveness.hpp). EngineKind kSymbolic routes invariants to the
 // BDD-set engine (mc/symbolic_reachability.hpp) and liveness to the
 // backward EG(¬goal) fixpoint (mc/symbolic_liveness.hpp); kSequential
-// forces the single-threaded BFS / colored-DFS engines. kKInduction and
+// runs invariants on the frontier BFS at one thread and liveness on the
+// colored-DFS lasso search. kKInduction and
 // kIc3 route invariant lemmas to the SAT-based proof engines over the
 // star-cluster IR (tta/star_ir.hpp, DESIGN.md §3.10) — the only engines
 // that can return PROVED (verdict_text "PROVED@k") rather than merely

@@ -1,8 +1,8 @@
 // The engine layer: which exploration engine runs a property, with how many
-// threads, under which limits. Shared by the sequential BFS/DFS engines
-// (reachability.hpp, liveness.hpp) and the parallel frontier engine
-// (parallel_reachability.hpp); core/verifier plumbs these options through the
-// lemma facade.
+// threads, under which limits. Shared by the frontier BFS engines
+// (reachability.hpp, parallel_liveness.hpp), the lasso DFS (liveness.hpp) and
+// the symbolic engines; core/verifier plumbs these options through the lemma
+// facade.
 #pragma once
 
 #include <cstdlib>
@@ -17,9 +17,10 @@ namespace tt::mc {
 
 /// Which exploration engine to use. kAuto resolves to the parallel engine
 /// for every property class: frontier BFS for invariant lemmas
-/// (parallel_reachability.hpp) and OWCTY goal-free-cycle trimming for the
-/// liveness lemmas (parallel_liveness.hpp). kSequential forces the
-/// single-threaded BFS / colored-DFS lasso search. kSymbolic keeps the
+/// (reachability.hpp) and OWCTY goal-free-cycle trimming for the liveness
+/// lemmas (parallel_liveness.hpp). kSequential runs the invariant lemmas on
+/// the frontier BFS at one thread and the liveness lemmas on the
+/// single-threaded colored-DFS lasso search. kSymbolic keeps the
 /// reached set as a BDD — reachability for invariants
 /// (mc/symbolic_reachability.hpp) and a backward EG(¬goal) greatest
 /// fixpoint for liveness (mc/symbolic_liveness.hpp).

@@ -1,25 +1,20 @@
-// Shared explicit-state exploration scaffolding: the visit bookkeeping
-// (intern, parent link, queue position) and counterexample reconstruction
-// used by the sequential invariant engine, the liveness engine's
-// reachable-set materialization, and the parallel frontier engine. One
-// implementation instead of three keeps trace semantics (initial state ..
-// violating state, parent-minimal) identical across engines.
+// Store plumbing shared by the explicit-state engines (the frontier core and
+// the lasso DFS): applying the StoreOptions dials, the between-levels
+// maintenance step and copying a store's counters into RunStats. Each is a
+// no-op for a store without the corresponding hooks.
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <string>
 
 #include "mc/engine.hpp"
 #include "mc/run_stats.hpp"
 #include "obs/trace.hpp"
-#include "support/hash.hpp"
-#include "support/recent_cache.hpp"
-#include "support/state_index_map.hpp"
 
 namespace tt::mc::detail {
 
 /// Applies the StoreOptions dials a store supports; a no-op for stores
-/// without the corresponding hooks (StateIndexMap, ShardedStateIndexMap).
+/// without the corresponding hooks (ShardedStateIndexMap).
 /// Must run before the first insert: the spill directory is a pre-insert
 /// dial.
 template <class Map>
@@ -79,97 +74,6 @@ void copy_store_stats(const Map& seen, RunStats& stats) {
       stats.spill_async_pages = st.spill_async_pages;
     }
   }
-}
-
-/// Sequential BFS working set: interned states, optional parent links and
-/// the dense-id queue. `visit` is the single entry point engines feed states
-/// through (initial and successor alike).
-///
-/// `Map` is any store with the StateIndexMap interface that assigns *dense*
-/// ids in insertion order — StateIndexMap itself, or a single-shard
-/// LockFreeStateIndexMap (whose serial-insert path is picked automatically).
-/// Parent links and the queue are indexed by those dense ids.
-template <std::size_t W, class Map = StateIndexMap<W>>
-struct BfsCore {
-  using State = std::array<std::uint64_t, W>;
-  static constexpr std::uint32_t kNoParent = Map::kEmpty;
-
-  explicit BfsCore(bool track_parents = true, const SearchLimits& limits = {})
-      : parents(track_parents) {
-    // A bounded run pre-sizes the store so the cap is hit before the
-    // allocator is (and no rehash happens mid-search).
-    if (limits.states_bounded()) {
-      seen.reserve(limits.max_states + limits.max_states / 8 + 1);
-    }
-  }
-
-  /// Interns `s` with BFS parent `from`; enqueues when fresh.
-  /// Returns {dense id, fresh}.
-  std::pair<std::uint32_t, bool> visit(const State& s, std::uint32_t from) {
-    return visit(s, from, hash_words(s));
-  }
-
-  /// Hash-once visit: `h` must equal `hash_words(s)`. Probes the
-  /// recently-seen cache first — a verified hit short-circuits the interning
-  /// table entirely (the dominant case at high fault degrees, where ~115
-  /// transitions per state are duplicates).
-  std::pair<std::uint32_t, bool> visit(const State& s, std::uint32_t from, std::uint64_t h) {
-    const std::uint32_t hint = cache.lookup(h);
-    if (hint != RecentSeenCache::kMiss && seen.at(hint) == s) {
-      ++cache_hits;
-      ++dup_visits;
-      return {hint, false};
-    }
-    auto [idx, fresh] = [&] {
-      // BfsCore is strictly single-threaded: take the serial insert path
-      // (inline growth, relaxed atomics) when the store distinguishes one.
-      if constexpr (requires { seen.insert_serial(s, h); }) {
-        return seen.insert_serial(s, h);
-      } else {
-        return seen.insert(s, h);
-      }
-    }();
-    cache.remember(h, idx);
-    if (fresh) {
-      if (parents) parent.push_back(from);
-      queue.push_back(idx);
-    } else {
-      ++dup_visits;
-    }
-    return {idx, fresh};
-  }
-
-  /// Reconstructs initial..`bad` by walking parent links.
-  [[nodiscard]] std::vector<State> trace_to(std::uint32_t bad) const {
-    std::vector<State> rev;
-    for (std::uint32_t at = bad; at != kNoParent; at = parent[at]) rev.push_back(seen.at(at));
-    return {rev.rbegin(), rev.rend()};
-  }
-
-  [[nodiscard]] std::size_t memory_bytes() const noexcept {
-    return seen.memory_bytes() + parent.capacity() * sizeof(std::uint32_t) +
-           queue.capacity() * sizeof(std::uint32_t) + cache.memory_bytes();
-  }
-
-  Map seen;
-  RecentSeenCache cache;
-  std::vector<std::uint32_t> parent;  // dense id -> predecessor id (if `parents`)
-  std::vector<std::uint32_t> queue;   // dense ids in BFS order
-  std::size_t cache_hits = 0;  ///< duplicates killed by the recently-seen cache
-  std::size_t dup_visits = 0;  ///< visits of already-interned states
-  bool parents = true;
-};
-
-/// Parent-walking trace reconstruction over engine-specific id spaces (the
-/// parallel engine's ids are (shard, local) pairs, so it supplies its own
-/// accessors). `state_of(id)` yields the packed state, `parent_of(id)` the
-/// predecessor id or `none`.
-template <class State, class StateOf, class ParentOf>
-[[nodiscard]] std::vector<State> reconstruct_trace(std::uint32_t bad, std::uint32_t none,
-                                                   StateOf&& state_of, ParentOf&& parent_of) {
-  std::vector<State> rev;
-  for (std::uint32_t at = bad; at != none; at = parent_of(at)) rev.push_back(state_of(at));
-  return {rev.rbegin(), rev.rend()};
 }
 
 }  // namespace tt::mc::detail

@@ -1,10 +1,12 @@
-// The level-synchronous frontier core shared by the parallel engines: the
-// invariant BFS (parallel_reachability.hpp) and the materialization phase of
-// the OWCTY liveness engine (parallel_liveness.hpp). It owns the sharded
-// store, the expand/drain level loop, the worker pool and the inter-level
-// step; each engine plugs its per-property work in as compile-time hooks.
+// The level-synchronous frontier core shared by every explicit BFS: the
+// invariant engine (reachability.hpp, at any thread count: `seq` is this
+// core at one thread) and the materialization phase of the OWCTY liveness
+// engine (parallel_liveness.hpp). It owns the sharded store, the level loop,
+// the worker pool and the inter-level step; each engine plugs its
+// per-property work in as compile-time hooks.
 //
-// Each BFS level runs in two phases over a fixed partition of the frontier:
+// A level large enough for the pool runs in two phases over a fixed
+// partition of the frontier:
 //
 //   expand: worker threads claim chunks of the frontier (atomic counter),
 //           enumerate successors, hash each candidate exactly once, kill
@@ -19,25 +21,26 @@
 //           fresh ids. Each shard's store part and link/fresh lists sit on
 //           cache lines of their own, so owners never write a shared line.
 //
+// Any other level — every level at one thread — is a serial level: the
+// coordinating thread expands and interns in one pass, in emission order.
+// A state new in the level is interned, and remembered by the cache, at its
+// first emission, so its repeats die in the cache instead of travelling to a
+// drain (the two-phase level cannot remember a state before drain interns
+// it).
+//
 // Determinism guarantee: walking chunk buffers in chunk order replays, for
 // every shard, exactly the frontier-order candidate sequence — chunk
 // boundaries only decide which thread buffered a candidate, never its
-// position in that sequence. Shard ownership is exclusive, so per-shard
-// insertion order — and with it every dense id, parent link and the next
-// frontier (per-shard fresh lists concatenated in shard order) — is
-// independent of both thread scheduling and chunk geometry. A run with 1, 2
-// or 4 threads (or any other count) therefore interns the same states under
-// the same ids, flags the same minimal witness and reconstructs the
-// *identical* trace, even though the chunk size adapts to
-// frontier.size()/threads. The per-thread caches cannot perturb this: they
-// only ever suppress candidates already interned in a previous level, which
-// the frozen-store find would have suppressed anyway.
-//
-// Small frontiers fall back to a serial level run by the coordinating thread
-// alone (no barrier crossings, serial inserts) — the two-phase order is
-// preserved, so the fallback is invisible to the determinism guarantee; it
-// only removes the synchronization overhead that made the parallel engines
-// lose to the sequential ones on shallow or narrow state spaces.
+// position in that sequence. A serial level inserts that same sequence in
+// that same order. Shard ownership is exclusive, so per-shard insertion
+// order — and with it every dense id, parent link and the next frontier
+// (per-shard fresh lists concatenated in shard order) — is independent of
+// thread scheduling, chunk geometry and the level's kind. A run with 1, 2 or
+// 4 threads (or any other count) therefore interns the same states under the
+// same ids, flags the same minimal witness and reconstructs the *identical*
+// trace. The per-thread caches cannot perturb this: they only ever suppress
+// candidates already interned before their emission, which the store would
+// have reported as duplicates anyway.
 //
 // Requirements on the model: TS::successors and every predicate a hook calls
 // must be safe to call concurrently on a const system (all bundled models are
@@ -63,6 +66,7 @@
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
 #include "support/function_ref.hpp"
+#include "support/hash.hpp"
 #include "support/lockfree_state_index_map.hpp"
 #include "support/recent_cache.hpp"
 #include "support/sharded_state_index_map.hpp"
@@ -172,14 +176,18 @@ struct FrontierNames {
 ///   admit(t, tag)       per emitted successor and initial state: false drops
 ///                       it before it is hashed; may refine `tag`.
 ///   known(l, from, id, tag)
-///                       expand: the successor was interned in an earlier
-///                       level, as `id`.
+///                       expand: the successor was interned before this
+///                       emission, as `id` (in an earlier level, or earlier
+///                       in a serial level).
 ///   expanded(l, from, src, emitted)
 ///                       expand: `from` emitted `emitted` successors
 ///                       (admitted or not); true flags `from` as a witness.
 ///   interned(l, shard, id, is_new, s, parent, tag)
-///                       drain and root seeding, once per admitted candidate
-///                       that reached the store; true flags `id` as a witness.
+///                       root seeding, drain and serial levels, once per
+///                       admitted candidate that reached the store and was
+///                       not reported to `known`; true flags `id` as a
+///                       witness. A serial level reports its repeats to
+///                       `known`, so there is_new is always true.
 ///
 /// A flagged witness stops the search after the level that flagged it; the
 /// minimal flagged id of that level is reported.
@@ -200,7 +208,7 @@ struct FrontierHooks {
   }
 };
 
-/// The level-synchronous parallel BFS over `Map` (a 16-shard store, see
+/// The level-synchronous BFS over `Map` (a 16-shard store, see
 /// with_frontier_store), parameterized by the engine's `Hooks`.
 template <class Map, TransitionSystem TS, class Hooks>
 class FrontierSearch {
@@ -212,8 +220,9 @@ class FrontierSearch {
 
  private:
   static constexpr std::size_t kMinChunk = 64;
-  // Below this many work items per worker a phase runs serially on the
-  // coordinating thread: barrier crossings would cost more than the work.
+  // Below this many work items per worker a phase (or a whole level) runs
+  // serially on the coordinating thread: barrier crossings would cost more
+  // than the work.
   static constexpr std::size_t kSerialWorkPerThread = 128;
 
   struct Cand {
@@ -283,8 +292,12 @@ class FrontierSearch {
     maintain_store(seen_, frontier_.size() * 16);  // headroom for level 1
     level_span_.begin(Hooks::kNames.level, depth_, "depth");
     do {
-      expand();
-      drain();
+      if (parallel(frontier_.size())) {
+        expand();
+        drain();
+      } else {
+        serial_level();
+      }
     } while (!finish_level());
   }
 
@@ -325,11 +338,12 @@ class FrontierSearch {
 
   /// Initial state .. `id` along BFS parent links.
   [[nodiscard]] std::vector<State> trace_to(std::uint32_t id) const {
-    return reconstruct_trace<State>(
-        id, kNone, [&](std::uint32_t at) { return seen_.at(at); },
-        [&](std::uint32_t at) {
-          return lists_[seen_.shard_of_id(at)].parent[seen_.local_of_id(at)];
-        });
+    std::vector<State> rev;
+    for (std::uint32_t at = id; at != kNone;
+         at = lists_[seen_.shard_of_id(at)].parent[seen_.local_of_id(at)]) {
+      rev.push_back(seen_.at(at));
+    }
+    return {rev.rbegin(), rev.rend()};
   }
 
   [[nodiscard]] const Map& seen() const noexcept { return seen_; }
@@ -388,12 +402,28 @@ class FrontierSearch {
                [&](ThreadCtx& c, std::size_t ci, std::size_t begin, std::size_t end) {
                  ChunkOut* out = c.acquire();
                  for (auto& b : out->bucket) b.clear();
-                 for (std::size_t p = begin; p < end; ++p) expand_state(c, *out, frontier_[p]);
+                 for (std::size_t p = begin; p < end; ++p) {
+                   const std::uint32_t from = frontier_[p];
+                   expand_state(c, from, [&](const State& t, std::uint64_t h, const Tag& tag) {
+                     const std::uint32_t id = seen_.find(t, h);
+                     if (id != kNone) {
+                       c.cache.remember(h, id);
+                       ++c.dups;
+                       hooks_.known(c.local, from, id, tag);
+                       return;  // interned in a previous level
+                     }
+                     out->bucket[seen_.shard_of(h)].push_back(Cand{t, from, h, tag});
+                   });
+                 }
                  chunk_out_[ci] = out;
                });
   }
 
-  void expand_state(ThreadCtx& c, ChunkOut& out, std::uint32_t from) {
+  /// Enumerates the successors of `from`, admits and hashes each one, kills
+  /// the verified cache hits and hands every other candidate to
+  /// `miss(t, hash, tag)`.
+  template <class Miss>
+  void expand_state(ThreadCtx& c, std::uint32_t from, Miss&& miss) {
     const State s = seen_.at(from);
     const Tag src = hooks_.source(seen_, from);
     std::size_t emitted = 0;
@@ -403,8 +433,8 @@ class FrontierSearch {
       Tag tag = src;
       if (!hooks_.admit(t, tag)) return;
       // Hash-once contract: the single hash_words call this candidate ever
-      // sees. Cache probe, frozen-store find, and the drain-phase insert (via
-      // Cand::hash) all reuse it.
+      // sees. Cache probe, store find and insert all reuse it (a parallel
+      // level carries it to drain in Cand::hash).
       ++c.hash_ops;
       const std::uint64_t h = hash_words(t);
       const std::uint32_t hint = c.cache.lookup(h);
@@ -412,34 +442,23 @@ class FrontierSearch {
         ++c.cache_hits;
         ++c.dups;
         hooks_.known(c.local, from, hint, tag);
-        return;  // interned in a previous level
+        return;
       }
-      const std::uint32_t id = seen_.find(t, h);
-      if (id != kNone) {
-        c.cache.remember(h, id);
-        ++c.dups;
-        hooks_.known(c.local, from, id, tag);
-        return;  // interned in a previous level
-      }
-      out.bucket[seen_.shard_of(h)].push_back(Cand{t, from, h, tag});
+      miss(t, h, tag);
     });
     if (hooks_.expanded(c.local, from, src, emitted)) flag(c, from);
   }
 
   void drain() {
-    const bool par = parallel(frontier_.size());  // the expand phase's choice
     next_shard_.store(0, std::memory_order_relaxed);
-    run_phase(par, Hooks::kNames.drain, [&](ThreadCtx& c) {
+    run_phase(/*par=*/true, Hooks::kNames.drain, [&](ThreadCtx& c) {
       unsigned sh;
       while ((sh = next_shard_.fetch_add(1, std::memory_order_relaxed)) < kFrontierShards) {
         ShardLists& l = lists_[sh];
         l.fresh.clear();
         for (std::size_t ci = 0; ci < nchunks_; ++ci) {
           for (const Cand& cd : chunk_out_[ci]->bucket[sh]) {
-            // Only the lock-free store tells the two apart (CAS claim and
-            // the shared Bloom front vs. its single-threaded path).
-            const auto [id, is_new] =
-                par ? seen_.insert(cd.s, cd.hash) : seen_.insert_serial(cd.s, cd.hash);
+            const auto [id, is_new] = seen_.insert(cd.s, cd.hash);
             if (is_new) {
               c.cache.remember(cd.hash, id);
               l.parent.push_back(cd.parent);
@@ -452,6 +471,30 @@ class FrontierSearch {
         }
       }
     });
+  }
+
+  /// A level on the coordinating thread alone: expand and intern in one
+  /// pass. Each shard receives the candidates in frontier order, the
+  /// sequence drain replays, so ids and links match a two-phase level.
+  void serial_level() {
+    obs::Span span(Hooks::kNames.expand);
+    ThreadCtx& c = ctx_[0];
+    for (auto& l : lists_) l.fresh.clear();
+    for (const std::uint32_t from : frontier_) {
+      expand_state(c, from, [&](const State& t, std::uint64_t h, const Tag& tag) {
+        const auto [id, is_new] = seen_.insert_serial(t, h);
+        c.cache.remember(h, id);
+        if (!is_new) {
+          ++c.dups;
+          hooks_.known(c.local, from, id, tag);
+          return;
+        }
+        const unsigned sh = seen_.shard_of_id(id);
+        lists_[sh].parent.push_back(from);
+        lists_[sh].fresh.push_back(id);
+        if (hooks_.interned(c.local, sh, id, /*is_new=*/true, t, from, tag)) flag(c, id);
+      });
+    }
   }
 
   bool collect_witness() noexcept {

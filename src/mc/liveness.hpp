@@ -24,7 +24,7 @@
 #include "obs/trace.hpp"
 #include "support/lockfree_state_index_map.hpp"
 #include "support/recent_cache.hpp"
-#include "support/state_index_map.hpp"
+#include "support/sharded_state_index_map.hpp"
 #include "support/timer.hpp"
 
 namespace tt::mc {
@@ -58,17 +58,37 @@ struct LivenessResult {
 
 namespace detail {
 
+/// Hash-once intern of `s` through a recently-seen cache in front of a
+/// single-threaded store: one hash_words per candidate, verified cache hits
+/// never reach the store. Counts into `stats`' hash/cache/duplicate columns.
+template <class Map>
+std::pair<std::uint32_t, bool> cached_intern(Map& seen, RecentSeenCache& cache,
+                                             const typename Map::State& s, RunStats& stats) {
+  ++stats.hash_ops;
+  const std::uint64_t h = hash_words(s);
+  const std::uint32_t hint = cache.lookup(h);
+  if (hint != RecentSeenCache::kMiss && seen.at(hint) == s) {
+    ++stats.cache_hits;
+    ++stats.dup_transitions;
+    return {hint, false};
+  }
+  const auto [id, fresh] = seen.insert_serial(s, h);
+  cache.remember(h, id);
+  if (!fresh) ++stats.dup_transitions;
+  return {id, fresh};
+}
+
 /// Shared goal-free-lasso search. Roots are supplied by the caller: the
 /// goal-free initial states for F(goal), every reachable goal-free state for
 /// AG AF(goal). `expected_states` pre-sizes the interning table (callers
 /// that already materialized the reachable set pass its size, so the DFS
 /// never rehashes from default capacity).
 ///
-/// `Map` must assign dense ids (`color` is indexed by them): StateIndexMap
-/// or a single-shard LockFreeStateIndexMap. The DFS has no quiescent points,
-/// so the lock-free store runs in its raw (uncompressed, unspilled) tier —
-/// the sealing/spill machinery only engages in the level-synchronous BFS
-/// engines.
+/// `Map` must assign dense ids (`color` is indexed by them): a one-shard
+/// ShardedStateIndexMap or LockFreeStateIndexMap. The DFS has no quiescent
+/// points, so the lock-free store runs in its raw (uncompressed, unspilled)
+/// tier — the sealing/spill machinery only engages in the level-synchronous
+/// BFS engines.
 template <class Map, class TS, class Pred, class RootFn>
 [[nodiscard]] LivenessResult<TS> lasso_search(const TS& ts, Pred&& goal, RootFn&& for_each_root,
                                               const SearchLimits& limits,
@@ -90,30 +110,7 @@ template <class Map, class TS, class Pred, class RootFn>
     color.reserve(expected_states);
   }
 
-  // Hash-once intern shared by root seeding and DFS expansion: one
-  // hash_words per candidate, duplicates short-circuited by the cache.
-  auto intern = [&](const State& s) -> std::pair<std::uint32_t, bool> {
-    ++result.stats.hash_ops;
-    const std::uint64_t h = hash_words(s);
-    const std::uint32_t hint = cache.lookup(h);
-    if (hint != RecentSeenCache::kMiss && seen.at(hint) == s) {
-      ++result.stats.cache_hits;
-      ++result.stats.dup_transitions;
-      return {hint, false};
-    }
-    auto [idx, fresh] = [&] {
-      // The lasso search is single-threaded: take the serial insert path
-      // (inline growth) when the store distinguishes one.
-      if constexpr (requires { seen.insert_serial(s, h); }) {
-        return seen.insert_serial(s, h);
-      } else {
-        return seen.insert(s, h);
-      }
-    }();
-    cache.remember(h, idx);
-    if (!fresh) ++result.stats.dup_transitions;
-    return {idx, fresh};
-  };
+  auto intern = [&](const State& s) { return cached_intern(seen, cache, s, result.stats); };
 
   struct Frame {
     std::uint32_t idx;
@@ -219,7 +216,7 @@ template <class Map, class TS, class Pred, class RootFn>
 template <TransitionSystem TS, class Pred>
 [[nodiscard]] LivenessResult<TS> check_eventually(const TS& ts, Pred&& goal,
                                                   const SearchLimits& limits = {}) {
-  return detail::lasso_search<StateIndexMap<TS::kWords>>(
+  return detail::lasso_search<ShardedStateIndexMap<TS::kWords>>(
       ts, goal, [&](auto&& visit) { ts.initial_states(visit); }, limits);
 }
 
@@ -243,31 +240,27 @@ template <class Map, TransitionSystem TS, class Pred>
                                                               const SearchLimits& limits) {
   using State = typename TS::State;
   // Materialize the reachable set first; its states are the lasso roots.
-  // Reuses the shared BFS scaffolding (explore.hpp) without parent links.
+  // The store assigns dense ids in insertion order, so id order is BFS
+  // order and the store is its own queue.
   std::vector<State> reachable;
   bool truncated = false;
-  std::size_t bfs_hash_ops = 0;
-  std::size_t bfs_cache_hits = 0;
-  std::size_t bfs_dups = 0;
+  RunStats walk;
   {
-    detail::BfsCore<TS::kWords, Map> bfs(/*track_parents=*/false, limits);
-    auto visit = [&](const State& s) {
-      ++bfs_hash_ops;
-      bfs.visit(s, detail::BfsCore<TS::kWords, Map>::kNoParent, hash_words(s));
-    };
+    Map seen;
+    RecentSeenCache cache;
+    if (limits.states_bounded()) seen.reserve(limits.max_states + limits.max_states / 8 + 1);
+    auto visit = [&](const State& s) { cached_intern(seen, cache, s, walk); };
     ts.initial_states(visit);
-    for (std::size_t head = 0; head < bfs.queue.size(); ++head) {
-      if (bfs.seen.size() > limits.max_states) {
+    for (std::uint32_t head = 0; head < seen.size(); ++head) {
+      if (seen.size() > limits.max_states) {
         truncated = true;
         break;
       }
-      const State s = bfs.seen.at(bfs.queue[head]);
+      const State s = seen.at(head);
       ts.successors(s, visit);
     }
-    reachable.reserve(bfs.seen.size());
-    for (std::uint32_t i = 0; i < bfs.seen.size(); ++i) reachable.push_back(bfs.seen.at(i));
-    bfs_cache_hits = bfs.cache_hits;
-    bfs_dups = bfs.dup_visits;
+    reachable.reserve(seen.size());
+    for (std::uint32_t i = 0; i < seen.size(); ++i) reachable.push_back(seen.at(i));
   }
   if (truncated) {
     LivenessResult<TS> limited;
@@ -283,9 +276,9 @@ template <class Map, TransitionSystem TS, class Pred>
       },
       limits, /*expected_states=*/reachable.size());
   result.stats.states = std::max(result.stats.states, reachable.size());
-  result.stats.hash_ops += bfs_hash_ops;
-  result.stats.cache_hits += bfs_cache_hits;
-  result.stats.dup_transitions += bfs_dups;
+  result.stats.hash_ops += walk.hash_ops;
+  result.stats.cache_hits += walk.cache_hits;
+  result.stats.dup_transitions += walk.dup_transitions;
   return result;
 }
 
@@ -299,7 +292,7 @@ template <class Map, TransitionSystem TS, class Pred>
 template <TransitionSystem TS, class Pred>
 [[nodiscard]] LivenessResult<TS> check_always_eventually(const TS& ts, Pred&& goal,
                                                          const SearchLimits& limits = {}) {
-  return detail::check_always_eventually_impl<StateIndexMap<TS::kWords>>(
+  return detail::check_always_eventually_impl<ShardedStateIndexMap<TS::kWords>>(
       ts, std::forward<Pred>(goal), limits);
 }
 

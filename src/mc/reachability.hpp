@@ -1,4 +1,4 @@
-// Invariant checking by breadth-first reachability (sequential engine).
+// Invariant checking by breadth-first reachability, on the frontier core.
 //
 // This is the explicit-state analogue of SAL's symbolic `sal-smc` invariant
 // runs (paper Fig. 4 and Fig. 6(a,c,d)). BFS gives shortest counterexamples,
@@ -6,10 +6,16 @@
 // (§5.2): pass SearchLimits::max_depth to explore only to a given depth, the
 // explicit-state counterpart of SAT-based BMC depth bounds.
 //
-// Parent links are kept per interned state so a violating trace can be
-// reconstructed; memory cost is 4 bytes/state on top of the packed state.
-// The visit/trace scaffolding lives in explore.hpp, shared with the liveness
-// engine and the parallel frontier engine (parallel_reachability.hpp).
+// The level loop, the sharded store, the worker pool and the determinism
+// guarantee live in frontier_search.hpp; this engine adds the property
+// check: a fresh state violating the invariant flags a witness, the search
+// stops after that level and the minimal violating id is reconstructed into
+// a BFS-minimal trace, identical for every thread count. The `seq` engine is
+// this engine at one thread.
+//
+// Requirements on the model: TS::successors and the property predicate must
+// be safe to call concurrently on a const system (all bundled models are
+// immutable after construction).
 #pragma once
 
 #include <cstdint>
@@ -17,14 +23,11 @@
 #include <vector>
 
 #include "mc/engine.hpp"
-#include "mc/explore.hpp"
+#include "mc/frontier_search.hpp"
 #include "mc/run_stats.hpp"
 #include "mc/transition_system.hpp"
-#include "obs/progress.hpp"
 #include "obs/trace.hpp"
-#include "support/lockfree_state_index_map.hpp"
-#include "support/state_index_map.hpp"
-#include "support/timer.hpp"
+#include "support/assert.hpp"
 
 namespace tt::mc {
 
@@ -53,88 +56,34 @@ struct InvariantResult {
 
 namespace detail {
 
-/// check_invariant over an explicit store type; see the public wrappers
-/// below. `Map` must assign dense ids (StateIndexMap or a single-shard
-/// LockFreeStateIndexMap) because BfsCore's bookkeeping is id-indexed.
-template <class Map, TransitionSystem TS, class Pred>
-[[nodiscard]] InvariantResult<TS> check_invariant_impl(const TS& ts, Pred&& holds,
-                                                       const SearchLimits& limits,
-                                                       const StoreOptions& store) {
-  using State = typename TS::State;
-  Timer timer;
-  obs::Span run_span("bfs.sequential");
-  InvariantResult<TS> result;
-  detail::BfsCore<TS::kWords, Map> bfs(/*track_parents=*/true, limits);
-  detail::apply_store_options(bfs.seen, store);
-
-  bool violated = false;
-  std::uint32_t bad_idx = 0;
-  auto visit = [&](const State& s, std::uint32_t from) {
-    if (violated) return;
-    // Hash-once contract: this is the only hash_words call a candidate sees;
-    // cache probe, table find and insert all reuse it.
-    ++result.stats.hash_ops;
-    auto [idx, fresh] = bfs.visit(s, from, hash_words(s));
-    if (fresh && !holds(s)) {
-      violated = true;
-      bad_idx = idx;
-    }
-  };
-
-  ts.initial_states(
-      [&](const State& s) { visit(s, detail::BfsCore<TS::kWords, Map>::kNoParent); });
-  result.stats.frontier_sizes.push_back(bfs.queue.size());
-
-  std::size_t head = 0;
-  std::size_t level_end = bfs.queue.size();  // end of current BFS level
-  int depth = 0;
-  obs::ManualSpan level_span;
-  level_span.begin("bfs.level", depth, "depth");
-  while (head < bfs.queue.size() && !violated) {
-    if (head == level_end) {
-      ++depth;
-      const std::size_t frontier_states = bfs.queue.size() - level_end;
-      result.stats.frontier_sizes.push_back(frontier_states);
-      level_end = bfs.queue.size();
-      level_span.end();
-      // Quiescent point: seal the closed set behind the new frontier, spill
-      // past the memory budget, grow the probe table with headroom.
-      detail::maintain_store(bfs.seen, frontier_states * 16);
-      level_span.begin("bfs.level", depth, "depth");
-      obs::progress_tick({.phase = "bfs",
-                          .states = bfs.seen.size(),
-                          .transitions = result.stats.transitions,
-                          .frontier = bfs.queue.size() - head,
-                          .depth = depth,
-                          .seconds = timer.seconds()});
-      if (depth > limits.max_depth) break;
-    }
-    if (bfs.seen.size() > limits.max_states) break;
-    const State s = bfs.seen.at(bfs.queue[head]);
-    const auto from = bfs.queue[head];
-    ++head;
-    ts.successors(s, [&](const State& t) {
-      ++result.stats.transitions;
-      visit(t, from);
-    });
+/// FrontierSearch hooks for G(holds): every fresh state violating `holds`
+/// (initial states included) is a witness.
+template <class State, class Pred>
+struct InvariantHooks : FrontierHooks {
+  static constexpr FrontierNames kNames{"bfs.expand", "bfs.drain", "bfs.level", "bfs"};
+  Pred& holds;
+  bool interned(Local&, unsigned /*shard*/, std::uint32_t /*id*/, bool is_new, const State& s,
+                std::uint32_t /*parent*/, const Tag&) const {
+    return is_new && !holds(s);
   }
+};
 
-  level_span.end();
-  run_span.set_arg("states", static_cast<std::int64_t>(bfs.seen.size()));
-  result.stats.states = bfs.seen.size();
-  result.stats.depth = depth;
-  result.stats.memory_bytes = bfs.memory_bytes();
-  result.stats.cache_hits = bfs.cache_hits;
-  result.stats.dup_transitions = bfs.dup_visits;
-  detail::copy_store_stats(bfs.seen, result.stats);
-  result.stats.seconds = timer.seconds();
-  if (violated) {
+template <class Map, TransitionSystem TS, class Pred>
+[[nodiscard]] InvariantResult<TS> check_invariant_impl(const TS& ts, Pred& holds,
+                                                       const EngineOptions& opts) {
+  using Hooks = InvariantHooks<typename TS::State, Pred>;
+  obs::Span run_span("bfs.frontier");
+  InvariantResult<TS> result;
+  Hooks hooks{{}, holds};
+  FrontierSearch<Map, TS, Hooks> search(ts, hooks, opts, result.stats);
+  search.run();
+  run_span.set_arg("states", static_cast<std::int64_t>(search.seen().size()));
+  search.finish_stats();
+  if (search.witness() != Map::kEmpty) {
     result.verdict = Verdict::kViolated;
-    result.trace = bfs.trace_to(bad_idx);
-  } else if (head < bfs.queue.size()) {
-    result.verdict = Verdict::kLimit;
+    result.trace = search.trace_to(search.witness());
   } else {
-    result.verdict = Verdict::kHolds;
+    result.verdict = search.limit_hit() ? Verdict::kLimit : Verdict::kHolds;
   }
   result.stats.exhausted = result.verdict != Verdict::kLimit;
   return result;
@@ -142,34 +91,39 @@ template <class Map, TransitionSystem TS, class Pred>
 
 }  // namespace detail
 
-/// Checks G(holds) over the reachable states of `ts`.
+/// G(holds) over the reachable states of `ts` on `opts.threads` threads.
+/// On violation the trace is shortest (BFS) and identical for every thread
+/// count — and for either store (EngineOptions::store picks the
+/// owner-sharded or the lock-free table; both assign the same ids in the
+/// same order). Search limits are enforced at level granularity, and a
+/// violation stops the search once its level is complete.
+template <TransitionSystem TS, class Pred>
+[[nodiscard]] InvariantResult<TS> check_invariant_parallel(const TS& ts, Pred&& holds,
+                                                           const EngineOptions& opts = {}) {
+  return detail::with_frontier_store<TS::kWords>(opts.store, [&]<class Map>() {
+    return detail::check_invariant_impl<Map>(ts, holds, opts);
+  });
+}
+
+/// Reachable-state count on `opts.threads` threads. Check
+/// RunStats::exhausted before trusting the count.
+template <TransitionSystem TS>
+[[nodiscard]] RunStats count_reachable_parallel(const TS& ts, const EngineOptions& opts = {}) {
+  auto r = check_invariant_parallel(ts, [](const typename TS::State&) { return true; }, opts);
+  return r.stats;
+}
+
+/// Checks G(holds) over the reachable states of `ts` on one thread.
 ///
-/// `holds` is a predicate on packed states. Returns on first violation with a
-/// minimal-length trace, or after the frontier empties (kHolds), or when a
-/// limit triggers (kLimit).
+/// `holds` is a predicate on packed states. Returns a minimal-length trace
+/// once the level holding the first violation is complete, or after the
+/// frontier empties (kHolds), or when a limit triggers (kLimit).
 template <TransitionSystem TS, class Pred>
 [[nodiscard]] InvariantResult<TS> check_invariant(const TS& ts, Pred&& holds,
                                                   const SearchLimits& limits = {}) {
-  return detail::check_invariant_impl<StateIndexMap<TS::kWords>>(ts, std::forward<Pred>(holds),
-                                                                 limits, StoreOptions{});
-}
-
-/// Store-dispatching sequential invariant check. Both stores intern states
-/// in the identical (BFS) order and the violation is picked by that order,
-/// so verdicts, counts and traces are bit-identical across stores; the
-/// lock-free store additionally seals/compresses the closed set between
-/// levels and spills past StoreOptions::mem_budget_bytes.
-template <TransitionSystem TS, class Pred>
-[[nodiscard]] InvariantResult<TS> check_invariant_store(const TS& ts, Pred&& holds,
-                                                        const SearchLimits& limits,
-                                                        const StoreOptions& store) {
-  if (store.kind == StoreKind::kLockFree) {
-    // One shard: BfsCore needs dense ids for its parent/queue bookkeeping.
-    return detail::check_invariant_impl<LockFreeStateIndexMap<TS::kWords>>(
-        ts, std::forward<Pred>(holds), limits, store);
-  }
-  return detail::check_invariant_impl<StateIndexMap<TS::kWords>>(ts, std::forward<Pred>(holds),
-                                                                 limits, store);
+  EngineOptions opts(limits);
+  opts.threads = 1;
+  return check_invariant_parallel(ts, std::forward<Pred>(holds), opts);
 }
 
 /// Exhaustively counts reachable states (the paper's `sal-smc --count`
@@ -180,6 +134,23 @@ template <TransitionSystem TS>
 [[nodiscard]] RunStats count_reachable(const TS& ts, const SearchLimits& limits = {}) {
   auto r = check_invariant(ts, [](const typename TS::State&) { return true; }, limits);
   return r.stats;
+}
+
+/// Engine-dispatching invariant check: kAuto and kParallel run the frontier
+/// engine on `opts.threads` threads, kSequential on one. kSymbolic is
+/// dispatched by callers that include mc/symbolic_reachability.hpp
+/// (core::verify does); here it is rejected so a missing dispatch shows up
+/// as an assertion, not a silent engine swap.
+template <TransitionSystem TS, class Pred>
+[[nodiscard]] InvariantResult<TS> check_invariant_with(EngineKind kind, const TS& ts,
+                                                       Pred&& holds,
+                                                       const EngineOptions& opts = {}) {
+  TT_ASSERT(kind != EngineKind::kSymbolic);
+  EngineOptions run_opts = opts;
+  if (kind == EngineKind::kSequential) run_opts.threads = 1;
+  auto r = check_invariant_parallel(ts, std::forward<Pred>(holds), run_opts);
+  if (opts.finalize_stats) opts.finalize_stats(r.stats);
+  return r;
 }
 
 }  // namespace tt::mc

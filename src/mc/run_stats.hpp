@@ -30,8 +30,9 @@ struct RunStats {
   std::size_t dup_transitions = 0;
   std::size_t cache_hits = 0;
   /// Per-BFS-level frontier sizes (index = depth). Filled by the frontier
-  /// engines (including the parallel OWCTY liveness engine's materialization
-  /// phase); empty for the sequential DFS-based liveness runs.
+  /// core: the invariant BFS at any thread count (`seq` included) and the
+  /// OWCTY liveness engine's materialization phase; empty for the lasso DFS
+  /// runs (`seq` on liveness lemmas).
   std::vector<std::size_t> frontier_sizes;
   /// OWCTY liveness instrumentation (parallel engine only; zero elsewhere):
   /// trimming rounds until the zero-out-degree deletion reached its fixpoint,

@@ -34,7 +34,8 @@ namespace tt::mc {
 
 /// Checks G(holds) over the reachable states of `ts`, keeping the reached
 /// set as a BDD. Requires `ts.state_bits()` (every packed model has it).
-/// Single-threaded; SearchLimits work as in the sequential engine.
+/// Single-threaded; max_states is checked before each expansion and
+/// max_depth per level (the frontier engine checks both per level).
 template <TransitionSystem TS, class Pred>
 [[nodiscard]] InvariantResult<TS> check_invariant_symbolic(
     const TS& ts, Pred&& holds, const SearchLimits& limits = {}) {

@@ -79,8 +79,8 @@
 
 #include "support/assert.hpp"
 #include "support/hash.hpp"
+#include "support/sharded_state_index_map.hpp"  // StateCapacityError
 #include "support/spill_writer.hpp"
-#include "support/state_index_map.hpp"
 
 // Out-of-core support needs the POSIX pieces (SpillWriter::platform_supported
 // reports the same condition at runtime); kept as a macro so tests can

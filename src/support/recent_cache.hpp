@@ -16,7 +16,7 @@
 // Entries must only ever map a hash to an id already interned in the backing
 // table — suppressing a cached duplicate is then observationally identical
 // to a full table hit, which is what keeps the parallel engine's
-// deterministic id assignment intact (see mc/parallel_reachability.hpp).
+// deterministic id assignment intact (see mc/frontier_search.hpp).
 #pragma once
 
 #include <cstdint>

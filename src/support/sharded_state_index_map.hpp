@@ -1,4 +1,6 @@
-// ShardedStateIndexMap: the concurrent sibling of StateIndexMap.
+// ShardedStateIndexMap: the central data structure of the explicit-state
+// engines. It interns fixed-width packed states (arrays of W u64 words) and
+// gives each distinct state a 32-bit id.
 //
 // The state store is hash-partitioned into S shards (S a power of two, fixed
 // at construction). Each shard is an independent open-addressed probe table
@@ -10,8 +12,15 @@
 //     id = (local << log2(S)) | shard
 //
 // which keeps ids 32-bit, makes at()/parent-link addressing O(1), and gives a
-// deterministic total order on ids that the parallel BFS uses to pick the
-// minimal (depth, id) violation.
+// deterministic total order on ids that the frontier BFS uses to pick the
+// minimal (depth, id) violation. With one shard the ids are dense, in
+// insertion order: the lasso DFS indexes its side arrays by them.
+//
+// Capacity: 0xffffffff is reserved as the empty marker, so a shard holds at
+// most 2^(32 - log2 S) - 1 states. Exceeding that (or a lower cap passed at
+// construction) throws StateCapacityError rather than corrupting the table;
+// engines with a finite SearchLimits::max_states call reserve() up front so
+// the cap is hit before memory is exhausted.
 //
 // Thread-safety contract (owner-exclusive shards):
 //   * insert()/insert_serial() — the same unlocked insert under two names
@@ -30,14 +39,21 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "support/assert.hpp"
 #include "support/hash.hpp"
-#include "support/state_index_map.hpp"
 
 namespace tt {
+
+/// Thrown when a state store would exceed its dense-id space or an
+/// explicitly configured cap.
+class StateCapacityError : public std::length_error {
+ public:
+  using std::length_error::length_error;
+};
 
 template <std::size_t W>
 class ShardedStateIndexMap {

@@ -1,7 +1,7 @@
 // Determinism and equivalence suite for the engine layer: for every lemma x
-// configuration in the tier-1 grid, the parallel frontier engine (1, 2 and 4
-// threads) and the sequential BFS engine must agree on the verdict and
-// produce equal-length (BFS-minimal) counterexamples; parallel runs must be
+// configuration in the tier-1 grid, the frontier engine (1, 2 and 4 threads)
+// and the symbolic BDD engine must agree on the verdict and produce
+// equal-length (BFS-minimal) counterexamples; frontier runs must be
 // bit-identical across thread counts, state counts included. This is the
 // regression net behind the "identical verdicts/traces regardless of thread
 // count" guarantee documented in DESIGN.md.
@@ -55,26 +55,37 @@ VerificationResult run(const GridCell& cell, mc::EngineKind engine, int threads)
 class EngineEquivalenceGrid : public ::testing::TestWithParam<GridCell> {};
 
 TEST_P(EngineEquivalenceGrid, ParallelAgreesWithSequentialAtEveryThreadCount) {
+  // `seq` on an invariant lemma is the frontier engine at one thread, so the
+  // independent reference is the BDD engine: the same verdict, the same
+  // reachable set on holds-cells and an equally short counterexample.
+  const auto sym = run(GetParam(), mc::EngineKind::kSymbolic, 1);
+  ASSERT_EQ(sym.engine_used, mc::EngineKind::kSymbolic);
   const auto seq = run(GetParam(), mc::EngineKind::kSequential, 1);
   ASSERT_EQ(seq.engine_used, mc::EngineKind::kSequential);
+  EXPECT_EQ(seq.stats.threads, 1);
 
   for (int threads : {1, 2, 4}) {
     const auto par = run(GetParam(), mc::EngineKind::kParallel, threads);
     ASSERT_EQ(par.engine_used, mc::EngineKind::kParallel);
     EXPECT_EQ(par.stats.threads, threads);
 
-    EXPECT_EQ(par.holds, seq.holds) << "threads=" << threads << ": " << par.verdict_text
-                                    << " vs " << seq.verdict_text;
-    EXPECT_EQ(par.exhausted, seq.exhausted) << "threads=" << threads;
+    EXPECT_EQ(par.holds, sym.holds) << "threads=" << threads << ": " << par.verdict_text
+                                    << " vs " << sym.verdict_text;
+    EXPECT_EQ(par.exhausted, sym.exhausted) << "threads=" << threads;
     // Counterexamples are BFS-minimal in both engines, hence equal length.
-    EXPECT_EQ(par.trace.size(), seq.trace.size()) << "threads=" << threads;
-    if (seq.holds) {
+    EXPECT_EQ(par.trace.size(), sym.trace.size()) << "threads=" << threads;
+    if (sym.holds) {
       // Exhaustive agreeing runs visit the same reachable set.
-      EXPECT_EQ(par.stats.states, seq.stats.states) << "threads=" << threads;
-      EXPECT_EQ(par.stats.transitions, seq.stats.transitions) << "threads=" << threads;
-      EXPECT_EQ(par.stats.depth, seq.stats.depth) << "threads=" << threads;
-      EXPECT_EQ(par.stats.frontier_sizes, seq.stats.frontier_sizes);
+      EXPECT_EQ(par.stats.states, sym.stats.states) << "threads=" << threads;
+      EXPECT_EQ(par.stats.transitions, sym.stats.transitions) << "threads=" << threads;
     }
+    // `seq` is this engine at one thread: the identical run.
+    EXPECT_EQ(par.holds, seq.holds) << "threads=" << threads;
+    EXPECT_EQ(par.stats.states, seq.stats.states) << "threads=" << threads;
+    EXPECT_EQ(par.stats.transitions, seq.stats.transitions) << "threads=" << threads;
+    EXPECT_EQ(par.stats.depth, seq.stats.depth) << "threads=" << threads;
+    EXPECT_EQ(par.stats.frontier_sizes, seq.stats.frontier_sizes) << "threads=" << threads;
+    EXPECT_EQ(par.trace, seq.trace) << "threads=" << threads;
   }
 }
 
@@ -588,16 +599,24 @@ TEST(ProofEngine, RejectsReducedRuns) {
 
 #if TT_LFSIM_HAS_SPILL
 TEST(EngineEquivalenceStore, BeyondRamRunMatchesInRamCountsExactly) {
-  // A 1-byte memory budget forces every sealed page out of core (the n=4
-  // cell fills six 1024-state pages in the sequential engine's single
-  // shard). The beyond-RAM run must reach the same verdict with the same
+  // A 1-byte memory budget forces every sealed page out of core (the
+  // cell's ~25k states fill 1024-state pages in each of the engine's 16
+  // shards). The beyond-RAM run must reach the same verdict with the same
   // exact counts as the unconstrained one — spilling is a memory tier, not
   // an approximation.
-  const GridCell cell{4, 3, false, Lemma::kSafety};
-  const auto in_ram =
-      run_store(cell, mc::EngineKind::kSequential, 1, mc::StoreKind::kLockFree);
-  const auto spilled =
-      run_store(cell, mc::EngineKind::kSequential, 1, mc::StoreKind::kLockFree, /*budget=*/1);
+  tta::ClusterConfig cfg;
+  cfg.n = 5;
+  cfg.faulty_node = 0;
+  cfg.fault_degree = 3;
+  cfg.feedback = false;
+  cfg.init_window = 4;
+  cfg.hub_init_window = 4;
+  VerifyOptions opts;
+  opts.engine = mc::EngineKind::kSequential;
+  opts.store.kind = mc::StoreKind::kLockFree;
+  const auto in_ram = verify(cfg, Lemma::kSafety, opts);
+  opts.store.mem_budget_bytes = 1;
+  const auto spilled = verify(cfg, Lemma::kSafety, opts);
   ASSERT_TRUE(in_ram.exhausted);
   EXPECT_EQ(spilled.holds, in_ram.holds);
   EXPECT_EQ(spilled.exhausted, in_ram.exhausted);

@@ -11,7 +11,6 @@
 
 #include "mc/liveness.hpp"
 #include "mc/parallel_liveness.hpp"
-#include "mc/parallel_reachability.hpp"
 #include "mc/reachability.hpp"
 #include "toy_system.hpp"
 

@@ -1,4 +1,4 @@
-#include "mc/parallel_reachability.hpp"
+#include "mc/reachability.hpp"
 
 #include <gtest/gtest.h>
 
@@ -11,7 +11,6 @@
 
 #include "mc/frontier_search.hpp"
 #include "mc/parallel_liveness.hpp"
-#include "mc/reachability.hpp"
 #include "toy_system.hpp"
 
 namespace tt::mc {
@@ -229,14 +228,18 @@ ToySystem wide_layers() {
   return ToySystem(roots, adj);
 }
 
+/// The fresh states of wide_layers' level 6 whose index is 100 mod 512, so
+/// the reported witness is the minimal id among eight candidates.
+bool level6_mod512(std::uint64_t v) { return v / 4096 == 6 && v % 512 == 100; }
+
 /// Records every fresh (id, state) pair in the interning thread's Local and
-/// flags the fresh states of level 6 whose index is 100 mod 512, so the
-/// reported witness is the minimal id among eight candidates.
+/// flags the fresh states `flags` picks.
 struct RecordingHooks : detail::FrontierHooks {
   static constexpr detail::FrontierNames kNames{"rec.expand", "rec.drain", "rec.level", "rec"};
   struct Local {
     std::vector<std::pair<std::uint32_t, std::uint64_t>> fresh;
   };
+  bool (*flags)(std::uint64_t) = level6_mod512;
   void known(Local&, std::uint32_t /*from*/, std::uint32_t /*id*/, const Tag&) const {}
   bool expanded(Local&, std::uint32_t /*from*/, const Tag&, std::size_t /*emitted*/) const {
     return false;
@@ -244,7 +247,7 @@ struct RecordingHooks : detail::FrontierHooks {
   bool interned(Local& l, unsigned /*shard*/, std::uint32_t id, bool is_new,
                 const ToySystem::State& s, std::uint32_t /*parent*/, const Tag&) const {
     if (is_new) l.fresh.emplace_back(id, s[0]);
-    return is_new && s[0] / 4096 == 6 && s[0] % 512 == 100;
+    return is_new && flags(s[0]);
   }
 };
 
@@ -255,10 +258,12 @@ struct RecordedRun {
   RunStats stats;
 };
 
-RecordedRun record_run(const ToySystem& ts, const EngineOptions& opts) {
+RecordedRun record_run(const ToySystem& ts, const EngineOptions& opts,
+                       bool (*flags)(std::uint64_t) = level6_mod512) {
   return detail::with_frontier_store<ToySystem::kWords>(opts.store, [&]<class Map>() {
     RecordedRun run;
     RecordingHooks hooks;
+    hooks.flags = flags;
     detail::FrontierSearch<Map, ToySystem, RecordingHooks> search(ts, hooks, opts, run.stats);
     search.run();
     search.finish_stats();
@@ -302,6 +307,35 @@ TEST(ParallelReachability, MoreThreadsThanShardsKeepsIdsAndTraces) {
       EXPECT_EQ(live.trace, base_live.trace) << at;
       EXPECT_EQ(live.loop_start, base_live.loop_start) << at;
     }
+  }
+}
+
+TEST(ParallelReachability, RepeatsOfAStateNewInItsLevelHitTheCache) {
+  // 600 roots all emit state 600, whose successor 601 is flagged. At one
+  // thread every level is serial: 600 is interned at its first emission and
+  // its 599 repeats die in the cache. At four threads the 600-root frontier
+  // is above the parallel cutoff (128 per thread), so the repeats travel to
+  // drain instead; ids, frontiers, witness and trace must not notice.
+  constexpr std::uint64_t kRoots = 600;
+  std::vector<std::vector<std::uint64_t>> adj(kRoots + 2, {kRoots});
+  adj[kRoots] = {kRoots + 1};
+  adj[kRoots + 1] = {kRoots + 1};
+  std::vector<std::uint64_t> roots(kRoots);
+  for (std::uint64_t i = 0; i < kRoots; ++i) roots[i] = i;
+  const ToySystem ts(roots, adj);
+  auto flags = [](std::uint64_t v) { return v == kRoots + 1; };
+  for (StoreKind kind : {StoreKind::kShardedLocked, StoreKind::kLockFree}) {
+    const RecordedRun one = record_run(ts, with_store(1, kind), flags);
+    EXPECT_EQ(one.stats.cache_hits, kRoots - 1) << to_string(kind);
+    EXPECT_EQ(one.stats.dup_transitions, kRoots - 1) << to_string(kind);
+    ASSERT_EQ(one.trace.size(), 3u) << to_string(kind);
+    EXPECT_EQ(one.trace[1][0], kRoots) << to_string(kind);
+    const RecordedRun four = record_run(ts, with_store(4, kind), flags);
+    EXPECT_EQ(four.ids, one.ids) << to_string(kind);
+    EXPECT_EQ(four.stats.frontier_sizes, one.stats.frontier_sizes) << to_string(kind);
+    EXPECT_EQ(four.stats.dup_transitions, one.stats.dup_transitions) << to_string(kind);
+    EXPECT_EQ(four.witness, one.witness) << to_string(kind);
+    EXPECT_EQ(four.trace, one.trace) << to_string(kind);
   }
 }
 

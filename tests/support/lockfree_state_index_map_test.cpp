@@ -15,7 +15,6 @@
 
 #include "support/rng.hpp"
 #include "support/sharded_state_index_map.hpp"
-#include "support/state_index_map.hpp"
 
 namespace tt {
 namespace {
@@ -31,8 +30,8 @@ TEST(LockFreeStateIndexMap, ShardCountRoundsUpToPowerOfTwo) {
 }
 
 TEST(LockFreeStateIndexMap, SingleShardAssignsDenseIdsLikeStateIndexMap) {
-  Map2 lockfree;  // 1 shard: the sequential engines' configuration
-  StateIndexMap<2> flat;
+  Map2 lockfree;  // 1 shard: the lasso DFS's configuration
+  ShardedStateIndexMap<2> flat(1);
   for (std::uint64_t i = 0; i < 20000; ++i) {
     const auto s = make_state(i % 7000, (i % 7000) * 31);
     const auto [id, fresh] = lockfree.insert_serial(s);

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Validate a ttstart-bench report file (BENCH_results.json).
 
-Accepts schemas v7 and v8: the committed report is v7 and the benches
-write v8. Both allow these optional per-record fields:
+Accepts schema ttstart-bench-v8, the one the benches write and the
+committed report carries. It allows these optional per-record fields:
 - symbolic-engine runs: `iterations` (image/BFS steps to the fixpoint) and
   `peak_live_nodes` (peak live BDD nodes);
 - parallel OWCTY liveness runs: `trim_rounds` (trimming sweeps to the
@@ -17,22 +17,19 @@ write v8. Both allow these optional per-record fields:
   independence gate was open), `pruned_combos` (emissions redirected to the
   clamped-horizon representative), and `proviso_fallbacks` (emissions
   declined into full expansion);
-- explicit stores: `store` ("locked"/"lockfree", and "lockfree-fp" in
-  reports written before that store was removed), `cas_retries` (failed slot
+- explicit stores: `store` ("locked"/"lockfree"), `cas_retries` (failed slot
   claims on the lock-free insert path), `spill_bytes` (compressed bytes
   evicted out of core), and the out-of-core pipeline columns (DESIGN.md
   3.9): `spill_sync_waits` (synchronous barriers the write-behind pipeline
   had to take), `spill_async_pages` (sealed pages handed to the I/O thread
-  without blocking), `fp_collisions`, `reexpansions` (counters of the
-  removed fingerprint-only store), and `resident_bytes` (store-resident
-  footprint at run end).
-v8 adds the SAT proof-engine columns (DESIGN.md 3.10): `solver_calls`
-(solve() invocations on the run's single incremental solver — for bounded
-BMC exactly one per depth probed), `clauses_reused` (learned clauses
-carried across those calls), `frames` (IC3 frame count / k-induction
-unrolling depth), and `proof_obligations` (IC3 obligation-queue pops).
-Optional numeric fields must be non-negative when present; the v8 fields
-are rejected under v7.
+  without blocking), and `resident_bytes` (store-resident footprint at run
+  end);
+- SAT proof engines (DESIGN.md 3.10): `solver_calls` (solve() invocations
+  on the run's single incremental solver — for bounded BMC exactly one per
+  depth probed), `clauses_reused` (learned clauses carried across those
+  calls), `frames` (IC3 frame count / k-induction unrolling depth), and
+  `proof_obligations` (IC3 obligation-queue pops).
+Optional numeric fields must be non-negative when present.
 
 Checks the envelope, the per-record field set and types, and basic value
 sanity (non-negative counts/times, verdict non-empty, threads >= 1). With
@@ -76,9 +73,10 @@ REQUIRED_FIELDS = {
     "verdict": str,
 }
 
-# Optional per-record fields by schema; typed when present, rejected under
-# a schema that does not list them.
-OPTIONAL_FIELDS_V7 = {
+SCHEMA = "ttstart-bench-v8"
+
+# Optional per-record fields; typed when present.
+OPTIONAL_FIELDS = {
     "iterations": int,
     "peak_live_nodes": int,
     "trim_rounds": int,
@@ -96,27 +94,16 @@ OPTIONAL_FIELDS_V7 = {
     "proviso_fallbacks": int,
     "spill_sync_waits": int,
     "spill_async_pages": int,
-    "fp_collisions": int,
-    "reexpansions": int,
     "resident_bytes": int,
+    "solver_calls": int,
+    "clauses_reused": int,
+    "frames": int,
+    "proof_obligations": int,
 }
-OPTIONAL_FIELDS = {
-    "ttstart-bench-v7": OPTIONAL_FIELDS_V7,
-    "ttstart-bench-v8": {
-        **OPTIONAL_FIELDS_V7,
-        "solver_calls": int,
-        "clauses_reused": int,
-        "frames": int,
-        "proof_obligations": int,
-    },
-}
-SCHEMAS = tuple(OPTIONAL_FIELDS)
 
 REDUCTION_NAMES = ("none", "sym", "por", "sym+por")
 POR_REDUCTIONS = ("por", "sym+por")
-# The fingerprint-only store is gone, but reports written before its removal
-# still carry "lockfree-fp" rows, so the name set keeps it.
-STORE_NAMES = ("locked", "lockfree", "lockfree-fp")
+STORE_NAMES = ("locked", "lockfree")
 
 
 def validate(doc, require, require_engines, require_engine_for, require_reduction,
@@ -125,9 +112,8 @@ def validate(doc, require, require_engines, require_engine_for, require_reductio
     if not isinstance(doc, dict):
         return ["top level is not a JSON object"]
     schema = doc.get("schema")
-    if schema not in SCHEMAS:
-        errors.append(f"schema is {schema!r}, expected one of {SCHEMAS!r}")
-    allowed_optional = OPTIONAL_FIELDS.get(schema, {})
+    if schema != SCHEMA:
+        errors.append(f"schema is {schema!r}, expected {SCHEMA!r}")
     results = doc.get("results")
     if not isinstance(results, list):
         return errors + ["'results' is missing or not an array"]
@@ -154,7 +140,7 @@ def validate(doc, require, require_engines, require_engine_for, require_reductio
                     f"{where}: field '{field}' has type "
                     f"{type(rec[field]).__name__}, expected {ftype}"
                 )
-        for field, ftype in allowed_optional.items():
+        for field, ftype in OPTIONAL_FIELDS.items():
             if field not in rec:
                 continue
             v = rec[field]
@@ -177,7 +163,7 @@ def validate(doc, require, require_engines, require_engine_for, require_reductio
                 )
             elif isinstance(v, (int, float)) and not isinstance(v, bool) and v < 0:
                 errors.append(f"{where}: optional field '{field}' < 0")
-        unknown = set(rec) - set(REQUIRED_FIELDS) - set(allowed_optional)
+        unknown = set(rec) - set(REQUIRED_FIELDS) - set(OPTIONAL_FIELDS)
         if unknown:
             errors.append(f"{where}: unknown field(s) {sorted(unknown)}")
         if isinstance(rec.get("engine"), str):

@@ -1,7 +1,7 @@
 #include "sat/solver.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <stdexcept>
 
 namespace tt::sat {
 
@@ -23,10 +23,11 @@ int Solver::new_var() {
 
 void Solver::add_clause(std::vector<Lit> lits) {
   TT_ASSERT(trail_lim_.empty());  // clauses may only be added at level 0
-  // Normalize: remove duplicates and satisfied/false literals at level 0.
+  // Normalize in place: remove duplicates and satisfied/false literals at
+  // level 0.
   std::sort(lits.begin(), lits.end(),
             [](Lit a, Lit b) { return a.code() < b.code(); });
-  std::vector<Lit> out;
+  std::size_t keep = 0;
   for (std::size_t i = 0; i < lits.size(); ++i) {
     const Lit l = lits[i];
     if (i > 0 && l == lits[i - 1]) continue;
@@ -34,29 +35,39 @@ void Solver::add_clause(std::vector<Lit> lits) {
     const auto v = lit_value(l);
     if (v > 0) return;  // already satisfied at level 0
     if (v < 0) continue;
-    out.push_back(l);
+    lits[keep++] = l;
   }
-  if (out.empty()) {
+  lits.resize(keep);
+  if (lits.empty()) {
     unsat_ = true;
     return;
   }
-  if (out.size() == 1) {
-    if (lit_value(out[0]) == 0) {
-      enqueue(out[0], kNoReason);
-      if (propagate() != kNoReason) unsat_ = true;
-    }
+  if (lits.size() == 1) {
+    enqueue(lits[0], kNoReason);
+    if (propagate() != kNoReason) unsat_ = true;
     return;
   }
-  Clause c;
-  c.lits = std::move(out);
-  clauses_.push_back(std::move(c));
-  attach(static_cast<ClauseRef>(clauses_.size() - 1));
+  attach(alloc(lits, /*learned=*/false));
+}
+
+Solver::ClauseRef Solver::alloc(const std::vector<Lit>& lits, bool learned) {
+  // Watchers keep the reference in 31 bits.
+  const std::size_t cr = arena_.size();
+  if (cr + kHeaderWords + lits.size() > (std::size_t{1} << 31)) {
+    throw std::length_error("ttstart: sat clause arena exceeds 2^31 words");
+  }
+  arena_.push_back(static_cast<std::uint32_t>(lits.size()) << 2 | (learned ? kLearnedBit : 0));
+  arena_.push_back(std::bit_cast<std::uint32_t>(0.0f));
+  for (const Lit l : lits) arena_.push_back(code(l));
+  ++num_clauses_;
+  return static_cast<ClauseRef>(cr);
 }
 
 void Solver::attach(ClauseRef cr) {
-  const Clause& c = clauses_[static_cast<std::size_t>(cr)];
-  watches_[static_cast<std::size_t>((~c.lits[0]).code())].push_back(cr);
-  watches_[static_cast<std::size_t>((~c.lits[1]).code())].push_back(cr);
+  const auto c = lits(cr);
+  const std::uint32_t word = cr << 1 | (c.size() == 2 ? 1u : 0u);
+  watches_[static_cast<std::size_t>((~lit(c[0])).code())].push_back(Watcher{word, lit(c[1])});
+  watches_[static_cast<std::size_t>((~lit(c[1])).code())].push_back(Watcher{word, lit(c[0])});
 }
 
 void Solver::enqueue(Lit l, ClauseRef reason) {
@@ -70,44 +81,66 @@ void Solver::enqueue(Lit l, ClauseRef reason) {
 Solver::ClauseRef Solver::propagate() {
   while (propagate_head_ < trail_.size()) {
     const Lit p = trail_[propagate_head_++];
+    const std::uint32_t false_code = code(~p);
     ++stats_.propagations;
     auto& watch_list = watches_[static_cast<std::size_t>(p.code())];
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < watch_list.size(); ++i) {
-      const ClauseRef cr = watch_list[i];
-      Clause& c = clauses_[static_cast<std::size_t>(cr)];
+    Watcher* w = watch_list.data();
+    Watcher* const end = w + watch_list.size();
+    Watcher* keep = w;
+    ClauseRef conflict = kNoReason;
+    while (w != end) {
+      const Watcher watcher = *w++;
+      const std::int8_t blocker_value = lit_value(watcher.blocker);
+      if (blocker_value > 0) {
+        *keep++ = watcher;  // satisfied; keep watching
+        continue;
+      }
+      const ClauseRef cr = watcher.cref();
+      if (watcher.binary()) {
+        *keep++ = watcher;
+        if (blocker_value < 0) {
+          conflict = cr;
+          break;
+        }
+        enqueue(watcher.blocker, cr);
+        continue;
+      }
       // Ensure the falsified literal is lits[1].
-      if (c.lits[0] == ~p) std::swap(c.lits[0], c.lits[1]);
-      TT_ASSERT(c.lits[1] == ~p);
-      if (lit_value(c.lits[0]) > 0) {
-        watch_list[keep++] = cr;  // satisfied; keep watching
+      const auto c = lits(cr);
+      if (c[0] == false_code) std::swap(c[0], c[1]);
+      TT_ASSERT(c[1] == false_code);
+      const Lit first = lit(c[0]);
+      const Watcher kept{watcher.word, first};
+      if (first != watcher.blocker && lit_value(first) > 0) {
+        *keep++ = kept;
         continue;
       }
       // Look for a new literal to watch.
       bool moved = false;
-      for (std::size_t k = 2; k < c.lits.size(); ++k) {
-        if (lit_value(c.lits[k]) >= 0) {
-          std::swap(c.lits[1], c.lits[k]);
-          watches_[static_cast<std::size_t>((~c.lits[1]).code())].push_back(cr);
+      for (std::size_t k = 2; k < c.size(); ++k) {
+        if (lit_value(lit(c[k])) >= 0) {
+          c[1] = c[k];
+          c[k] = false_code;
+          watches_[static_cast<std::size_t>((~lit(c[1])).code())].push_back(kept);
           moved = true;
           break;
         }
       }
       if (moved) continue;
       // Unit or conflicting.
-      watch_list[keep++] = cr;
-      if (lit_value(c.lits[0]) < 0) {
-        // Conflict: restore the remaining watches and report.
-        for (std::size_t j = i + 1; j < watch_list.size(); ++j) {
-          watch_list[keep++] = watch_list[j];
-        }
-        watch_list.resize(keep);
-        propagate_head_ = trail_.size();
-        return cr;
+      *keep++ = kept;
+      if (lit_value(first) < 0) {
+        conflict = cr;
+        break;
       }
-      enqueue(c.lits[0], cr);
+      enqueue(first, cr);
     }
-    watch_list.resize(keep);
+    while (w != end) *keep++ = *w++;  // after a conflict: the unvisited rest
+    watch_list.resize(static_cast<std::size_t>(keep - watch_list.data()));
+    if (conflict != kNoReason) {
+      propagate_head_ = trail_.size();
+      return conflict;
+    }
   }
   return kNoReason;
 }
@@ -159,11 +192,12 @@ void Solver::bump_var(int var) {
   if (pos >= 0) heap_sift_up(static_cast<std::size_t>(pos));
 }
 
-void Solver::bump_clause(Clause& c) {
-  c.activity += clause_inc_;
-  if (c.activity > 1e20) {
-    for (Clause& cl : clauses_) {
-      if (cl.learned) cl.activity *= 1e-20;
+void Solver::bump_clause(ClauseRef cr) {
+  const float a = activity(cr) + static_cast<float>(clause_inc_);
+  set_activity(cr, a);
+  if (a > 1e20f) {
+    for (ClauseRef c = 0; c < arena_.size(); c += kHeaderWords + clause_size(c)) {
+      if (is_learned(c)) set_activity(c, activity(c) * 1e-20f);
     }
     clause_inc_ *= 1e-20;
   }
@@ -187,9 +221,9 @@ void Solver::analyze(ClauseRef conflict, std::vector<Lit>& learnt, int& backtrac
   ClauseRef cr = conflict;
   do {
     TT_ASSERT(cr != kNoReason);
-    Clause& c = clauses_[static_cast<std::size_t>(cr)];
-    if (c.learned) bump_clause(c);
-    for (const Lit q : c.lits) {
+    if (is_learned(cr)) bump_clause(cr);
+    for (const std::uint32_t code : lits(cr)) {
+      const Lit q = lit(code);
       if (have_p && q == p) continue;
       const int v = q.var();
       if (seen_[static_cast<std::size_t>(v)] != 0 || level_[static_cast<std::size_t>(v)] == 0) {
@@ -270,8 +304,8 @@ void Solver::analyze_final(Lit failed) {
       // A decision above level 0 is necessarily an assumption.
       if (!(x == failed)) core_.push_back(x);
     } else {
-      for (const Lit q : clauses_[static_cast<std::size_t>(cr)].lits) {
-        const int qv = q.var();
+      for (const std::uint32_t code : lits(cr)) {
+        const int qv = lit(code).var();
         if (qv == v || level_[static_cast<std::size_t>(qv)] == 0) continue;
         if (seen_[static_cast<std::size_t>(qv)] == 0) {
           seen_[static_cast<std::size_t>(qv)] = 1;
@@ -295,8 +329,8 @@ bool Solver::lit_redundant(Lit l, std::uint32_t abstract_levels) {
       for (int v : newly_marked) seen_[static_cast<std::size_t>(v)] = 0;
       return false;
     }
-    const Clause& c = clauses_[static_cast<std::size_t>(cr)];
-    for (const Lit r : c.lits) {
+    for (const std::uint32_t code : lits(cr)) {
+      const Lit r = lit(code);
       const int v = r.var();
       if (v == q.var() || seen_[static_cast<std::size_t>(v)] != 0 ||
           level_[static_cast<std::size_t>(v)] == 0) {
@@ -363,48 +397,37 @@ int Solver::luby(int i) {
 
 void Solver::reduce_learned() {
   // Remove the least active half of the learned clauses (keeping binary
-  // clauses), then rebuild the watch lists.
+  // clauses), then drop their watchers.
   std::vector<ClauseRef> learned;
-  for (std::size_t i = 0; i < clauses_.size(); ++i) {
-    if (clauses_[i].learned && clauses_[i].lits.size() > 2) {
-      learned.push_back(static_cast<ClauseRef>(i));
-    }
+  for (ClauseRef cr = 0; cr < arena_.size(); cr += kHeaderWords + clause_size(cr)) {
+    if (is_learned(cr) && !is_deleted(cr) && clause_size(cr) > 2) learned.push_back(cr);
   }
   if (learned.size() < 100) return;
-  std::sort(learned.begin(), learned.end(), [&](ClauseRef a, ClauseRef b) {
-    return clauses_[static_cast<std::size_t>(a)].activity <
-           clauses_[static_cast<std::size_t>(b)].activity;
-  });
-  std::vector<std::uint8_t> drop(clauses_.size(), 0);
+  std::sort(learned.begin(), learned.end(),
+            [&](ClauseRef a, ClauseRef b) { return activity(a) < activity(b); });
   for (std::size_t i = 0; i < learned.size() / 2; ++i) {
     const ClauseRef cr = learned[i];
-    const Clause& c = clauses_[static_cast<std::size_t>(cr)];
     // Never drop a clause that is currently a reason on the trail.
     bool is_reason = false;
-    for (const Lit l : c.lits) {
-      if (assign_[static_cast<std::size_t>(l.var())] != 0 &&
-          reason_[static_cast<std::size_t>(l.var())] == cr) {
+    for (const std::uint32_t code : lits(cr)) {
+      const auto v = static_cast<std::size_t>(lit(code).var());
+      if (assign_[v] != 0 && reason_[v] == cr) {
         is_reason = true;
         break;
       }
     }
-    if (!is_reason) drop[static_cast<std::size_t>(cr)] = 1;
+    if (is_reason) continue;
+    arena_[cr] |= kDeletedBit;
+    --live_learned_;
   }
-  // Rebuild: compacting clause storage would invalidate ClauseRefs held in
-  // reason_, so we only empty the dropped clauses and detach their watches.
+  // A dropped clause keeps its arena words, so every ClauseRef held in
+  // reason_ stays valid; only its watchers go.
   for (auto& wl : watches_) {
     std::size_t keep = 0;
-    for (const ClauseRef cr : wl) {
-      if (drop[static_cast<std::size_t>(cr)] == 0) wl[keep++] = cr;
+    for (const Watcher w : wl) {
+      if (w.binary() || !is_deleted(w.cref())) wl[keep++] = w;
     }
     wl.resize(keep);
-  }
-  for (std::size_t i = 0; i < clauses_.size(); ++i) {
-    if (drop[i] != 0) {
-      clauses_[i].lits.clear();
-      clauses_[i].lits.shrink_to_fit();
-      --live_learned_;
-    }
   }
 }
 
@@ -440,12 +463,8 @@ Result Solver::solve(const std::vector<Lit>& assumptions) {
       if (learnt.size() == 1) {
         enqueue(learnt[0], kNoReason);
       } else {
-        Clause c;
-        c.lits = learnt;
-        c.learned = true;
-        clauses_.push_back(std::move(c));
-        const auto cr = static_cast<ClauseRef>(clauses_.size() - 1);
-        bump_clause(clauses_[static_cast<std::size_t>(cr)]);
+        const ClauseRef cr = alloc(learnt, /*learned=*/true);
+        bump_clause(cr);
         attach(cr);
         enqueue(learnt[0], cr);
         ++stats_.learned;

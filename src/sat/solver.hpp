@@ -4,7 +4,8 @@
 // are specialized for detecting bugs"; DESIGN.md §3.10 for the incremental
 // interface).
 //
-// Feature set: two-watched-literal propagation, first-UIP conflict analysis
+// Feature set: two-watched-literal propagation over a flat clause arena with
+// blocker literals and watcher-only binary clauses, first-UIP conflict analysis
 // with recursive clause minimization, EVSIDS branching over an indexed binary
 // heap, phase saving, Luby restarts, lazy clause-database reduction, and
 // incremental solving under assumptions: `solve(assumptions)` may be called
@@ -15,7 +16,9 @@
 // `a` in the assumptions to activate `C`, and add the unit `¬a` to retire it.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "support/assert.hpp"
@@ -36,6 +39,7 @@ class Lit {
   [[nodiscard]] bool operator==(const Lit&) const = default;
 
  private:
+  friend class Solver;  // rebuilds literals from the codes its clause arena stores
   explicit Lit(int code) : code_(code) {}
   int code_ = -2;
 };
@@ -87,19 +91,45 @@ class Solver {
   };
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
-  /// Clause-database size (problem + currently retained learned clauses).
-  /// Units: clause count. Used by BMC telemetry to report formula growth
-  /// per unrolling depth.
-  [[nodiscard]] std::size_t num_clauses() const noexcept { return clauses_.size(); }
+  /// Clause-database size: every clause of two or more literals stored so
+  /// far, problem and learned (a learned clause dropped by database
+  /// reduction still counts). Units: clause count. Used by BMC telemetry to
+  /// report formula growth per unrolling depth.
+  [[nodiscard]] std::size_t num_clauses() const noexcept { return num_clauses_; }
 
  private:
-  struct Clause {
-    std::vector<Lit> lits;
-    bool learned = false;
-    double activity = 0.0;
+  // Every clause of two or more literals lives in one flat arena of 32-bit
+  // words: a header (size << 2 | deleted << 1 | learned), the activity (a
+  // float's bits), then the literal codes inline. A ClauseRef is the offset
+  // of the header, so a clause visit reads one buffer instead of a clause
+  // record and then the record's own literal vector.
+  using ClauseRef = std::uint32_t;
+  static constexpr ClauseRef kNoReason = ~ClauseRef{0};
+  static constexpr std::uint32_t kLearnedBit = 1;
+  static constexpr std::uint32_t kDeletedBit = 2;
+  static constexpr std::uint32_t kHeaderWords = 2;
+
+  [[nodiscard]] std::uint32_t clause_size(ClauseRef cr) const { return arena_[cr] >> 2; }
+  [[nodiscard]] bool is_learned(ClauseRef cr) const { return (arena_[cr] & kLearnedBit) != 0; }
+  [[nodiscard]] bool is_deleted(ClauseRef cr) const { return (arena_[cr] & kDeletedBit) != 0; }
+  [[nodiscard]] std::span<std::uint32_t> lits(ClauseRef cr) {
+    return {&arena_[cr + kHeaderWords], clause_size(cr)};
+  }
+  [[nodiscard]] float activity(ClauseRef cr) const { return std::bit_cast<float>(arena_[cr + 1]); }
+  void set_activity(ClauseRef cr, float a) { arena_[cr + 1] = std::bit_cast<std::uint32_t>(a); }
+  [[nodiscard]] static Lit lit(std::uint32_t code) { return Lit(static_cast<int>(code)); }
+  [[nodiscard]] static std::uint32_t code(Lit l) { return static_cast<std::uint32_t>(l.code()); }
+
+  // A watcher of clause `cr` in the list of a literal that became true. The
+  // blocker is another literal of the clause: when it is true the clause is
+  // satisfied and is not visited. A binary clause's blocker is its other
+  // literal, so the watcher alone decides it (`binary` is the low bit).
+  struct Watcher {
+    std::uint32_t word;  // cr << 1 | binary
+    Lit blocker;
+    [[nodiscard]] ClauseRef cref() const { return word >> 1; }
+    [[nodiscard]] bool binary() const { return (word & 1) != 0; }
   };
-  using ClauseRef = int;
-  static constexpr ClauseRef kNoReason = -1;
 
   [[nodiscard]] std::int8_t lit_value(Lit l) const {
     const std::int8_t v = assign_[static_cast<std::size_t>(l.var())];
@@ -114,7 +144,8 @@ class Solver {
   void backtrack(int level);
   [[nodiscard]] int pick_branch_var();
   void bump_var(int var);
-  void bump_clause(Clause& c);
+  [[nodiscard]] ClauseRef alloc(const std::vector<Lit>& lits, bool learned);
+  void bump_clause(ClauseRef cr);
   void decay_activities();
   void attach(ClauseRef cr);
   void reduce_learned();
@@ -130,11 +161,12 @@ class Solver {
     return activity_[static_cast<std::size_t>(a)] < activity_[static_cast<std::size_t>(b)];
   }
 
-  std::vector<Clause> clauses_;
-  std::vector<std::vector<ClauseRef>> watches_;  // indexed by literal code
-  std::vector<std::int8_t> assign_;              // 0 unassigned, +1 true, -1 false
-  std::vector<std::int8_t> phase_;               // saved phases
-  std::vector<std::int8_t> model_;               // snapshot of the last kSat assignment
+  std::vector<std::uint32_t> arena_;
+  std::size_t num_clauses_ = 0;                // clauses allocated in arena_
+  std::vector<std::vector<Watcher>> watches_;  // indexed by literal code
+  std::vector<std::int8_t> assign_;            // 0 unassigned, +1 true, -1 false
+  std::vector<std::int8_t> phase_;             // saved phases
+  std::vector<std::int8_t> model_;             // snapshot of the last kSat assignment
   std::vector<int> level_;
   std::vector<ClauseRef> reason_;
   std::vector<Lit> trail_;

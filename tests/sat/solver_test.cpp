@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "support/rng.hpp"
 
 namespace tt::sat {
@@ -122,6 +124,28 @@ bool brute_force_sat(int nvars, const std::vector<std::vector<int>>& clauses) {
   return false;
 }
 
+/// The clause in the solver's literals (DIMACS-style ±(var+1) input).
+std::vector<Lit> to_lits(const std::vector<int>& clause) {
+  std::vector<Lit> lits;
+  for (int lit : clause) lits.push_back(Lit::make(std::abs(lit) - 1, lit < 0));
+  return lits;
+}
+
+/// Whether the solver's last model satisfies every clause.
+bool model_satisfies(const Solver& s, const std::vector<std::vector<int>>& clauses) {
+  for (const auto& clause : clauses) {
+    bool any = false;
+    for (int lit : clause) {
+      if ((lit > 0) == s.value(std::abs(lit) - 1)) {
+        any = true;
+        break;
+      }
+    }
+    if (!any) return false;
+  }
+  return true;
+}
+
 TEST(Solver, RandomInstancesAgreeWithBruteForce) {
   // Random 3-SAT near the phase transition, cross-checked against
   // enumeration. Property-style soundness test for the CDCL loop.
@@ -140,26 +164,12 @@ TEST(Solver, RandomInstancesAgreeWithBruteForce) {
     }
     Solver s;
     for (int v = 0; v < nvars; ++v) (void)s.new_var();
-    for (const auto& clause : clauses) {
-      std::vector<Lit> lits;
-      for (int lit : clause) lits.push_back(Lit::make(std::abs(lit) - 1, lit < 0));
-      s.add_clause(lits);
-    }
+    for (const auto& clause : clauses) s.add_clause(to_lits(clause));
     const bool expected = brute_force_sat(nvars, clauses);
     const Result got = s.solve();
     ASSERT_EQ(got == Result::kSat, expected) << "iteration " << iter;
     if (got == Result::kSat) {
-      // Verify the model actually satisfies every clause.
-      for (const auto& clause : clauses) {
-        bool any = false;
-        for (int lit : clause) {
-          if ((lit > 0) == s.value(std::abs(lit) - 1)) {
-            any = true;
-            break;
-          }
-        }
-        EXPECT_TRUE(any) << "model does not satisfy a clause";
-      }
+      EXPECT_TRUE(model_satisfies(s, clauses)) << "iteration " << iter;
     }
   }
 }
@@ -267,9 +277,7 @@ TEST(Solver, RandomInstancesUnderAssumptionsAgreeWithBruteForce) {
         clause.push_back(rng.below(2) != 0 ? v : -v);
       }
       clauses.push_back(clause);
-      std::vector<Lit> lits;
-      for (int lit : clause) lits.push_back(Lit::make(std::abs(lit) - 1, lit < 0));
-      s.add_clause(lits);
+      s.add_clause(to_lits(clause));
     }
     // Random assumptions over distinct vars.
     std::vector<Lit> assumptions;
@@ -295,22 +303,105 @@ TEST(Solver, RandomInstancesUnderAssumptionsAgreeWithBruteForce) {
     }
     ASSERT_EQ(got == Result::kSat, expected) << "iteration " << iter;
     if (got == Result::kSat) {
-      for (const auto& clause : with_units) {
-        bool any = false;
-        for (int lit : clause) {
-          if ((lit > 0) == s.value(std::abs(lit) - 1)) {
-            any = true;
-            break;
-          }
-        }
-        EXPECT_TRUE(any) << "model does not satisfy a clause";
-      }
+      EXPECT_TRUE(model_satisfies(s, with_units)) << "iteration " << iter;
     }
     if (!expected) {
       // Once the formula itself goes unsat, later rounds add nothing.
       if (s.solve() == Result::kUnsat) break;
     }
   }
+}
+
+TEST(Solver, BinaryHeavyIncrementalAgreesWithBruteForce) {
+  // Clauses of width 1..4, most of them binary, added between solve calls
+  // on one instance under random assumptions, cross-checked against
+  // enumeration. Binary clauses are decided from their watchers alone, so
+  // this drives that path as implication, as conflict, and as a reason in
+  // conflict analysis and in the conflict core. A fresh instance starts
+  // once the formula alone is unsatisfiable.
+  Rng rng(7177);
+  constexpr int kVars = 10;
+  int binary = 0;
+  int added = 0;
+  int cores = 0;
+  for (int instance = 0; instance < 25; ++instance) {
+    Solver s;
+    for (int v = 0; v < kVars; ++v) (void)s.new_var();
+    std::vector<std::vector<int>> clauses;
+    for (int round = 0; round < 40; ++round) {
+      for (int c = 0; c < 2; ++c) {
+        const std::uint32_t r = rng.below(16);
+        const int width = r == 0 ? 1 : r < 11 ? 2 : r < 14 ? 3 : 4;
+        std::vector<int> clause;
+        for (int k = 0; k < width; ++k) {
+          const int v = 1 + static_cast<int>(rng.below(kVars));
+          clause.push_back(rng.below(2) != 0 ? v : -v);
+        }
+        binary += width == 2 ? 1 : 0;
+        ++added;
+        clauses.push_back(clause);
+        s.add_clause(to_lits(clause));
+      }
+      std::vector<Lit> assumptions;
+      auto with_units = clauses;
+      for (int v = 0; v < kVars; ++v) {
+        if (rng.below(4) == 0) {
+          const bool negate = rng.below(2) != 0;
+          assumptions.push_back(Lit::make(v, negate));
+          with_units.push_back({negate ? -(v + 1) : v + 1});
+        }
+      }
+      const bool expected = brute_force_sat(kVars, with_units);
+      const Result got = s.solve(assumptions);
+      ASSERT_EQ(got == Result::kSat, expected) << "instance " << instance << " round " << round;
+      if (got == Result::kSat) {
+        EXPECT_TRUE(model_satisfies(s, with_units)) << "instance " << instance;
+        continue;
+      }
+      // The core is a subset of the assumptions, and the formula with only
+      // the core assumptions is already unsatisfiable.
+      auto with_core = clauses;
+      for (const Lit l : s.conflict_core()) {
+        EXPECT_NE(std::find(assumptions.begin(), assumptions.end(), l), assumptions.end());
+        with_core.push_back({l.negated() ? -(l.var() + 1) : l.var() + 1});
+      }
+      EXPECT_FALSE(brute_force_sat(kVars, with_core)) << "instance " << instance;
+      ++cores;
+      if (s.solve() == Result::kUnsat) break;
+    }
+  }
+  EXPECT_GE(2 * binary, added);
+  EXPECT_GT(cores, 50);
+}
+
+TEST(Solver, ReduceLearnedRoundsKeepAnswersSound) {
+  // PHP(9,8) under an assumption learns enough clauses for at least two
+  // learned-clause reductions (at 4000 and 6000 learned). The UNSAT answer
+  // must survive them, and a later satisfiable query on the same instance
+  // must still return a model of every original clause.
+  Solver s;
+  constexpr int P = 9;
+  constexpr int H = 8;
+  for (int v = 0; v < P * H + 1; ++v) (void)s.new_var();
+  const auto x = [](int p, int h) { return p * H + h + 1; };  // DIMACS-style
+  const int guard = P * H + 1;  // frees the last pigeon when true
+  std::vector<std::vector<int>> clauses;
+  for (int p = 0; p < P; ++p) {
+    std::vector<int> clause;
+    if (p == P - 1) clause.push_back(guard);
+    for (int h = 0; h < H; ++h) clause.push_back(x(p, h));
+    clauses.push_back(clause);
+  }
+  for (int h = 0; h < H; ++h) {
+    for (int p1 = 0; p1 < P; ++p1) {
+      for (int p2 = p1 + 1; p2 < P; ++p2) clauses.push_back({-x(p1, h), -x(p2, h)});
+    }
+  }
+  for (const auto& clause : clauses) s.add_clause(to_lits(clause));
+  ASSERT_EQ(s.solve({Lit::make(guard - 1, true)}), Result::kUnsat);
+  EXPECT_GE(s.stats().learned, 6000u);
+  ASSERT_EQ(s.solve(), Result::kSat);
+  EXPECT_TRUE(model_satisfies(s, clauses));
 }
 
 TEST(Solver, LargeChainedXorUnsat) {

@@ -55,8 +55,8 @@ void print_table(tt::BenchReport& report) {
     tt::BenchRecord rec;
     rec.experiment = "fig3/degree" + std::to_string(d);
     rec.engine = "dial";
-    rec.transitions = outputs.pairs(0).size();
-    rec.seconds = build_seconds;
+    rec.stats.transitions = outputs.pairs(0).size();
+    rec.stats.seconds = build_seconds;
     rec.verdict = "pairs=" + std::to_string(outputs.pairs(0).size());
     report.add(rec);
   }
@@ -72,7 +72,6 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   tt::BenchReport report("bench_fig3_fault_degrees");
   print_table(report);
-  const std::string path = report.write();
-  if (!path.empty()) std::printf("machine-readable results: %s\n", path.c_str());
+  report.write();
   return 0;
 }

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <string>
 
+#include "bench_record.hpp"
 #include "core/verifier.hpp"
 #include "obs/obs.hpp"
 #include "support/bench_report.hpp"
@@ -58,26 +59,6 @@ BENCHMARK(BM_Fig4)
     ->Unit(benchmark::kMillisecond)
     ->MinTime(0.01);
 
-tt::BenchRecord record_of(const std::string& experiment,
-                          const tt::core::VerificationResult& r,
-                          tt::core::Lemma lemma) {
-  tt::BenchRecord rec;
-  rec.experiment = experiment;
-  rec.engine = tt::mc::to_string(r.engine_used);
-  rec.threads = r.stats.threads;
-  rec.states = r.stats.states;
-  rec.transitions = r.stats.transitions;
-  rec.seconds = r.stats.seconds;
-  rec.exhausted = r.stats.exhausted;
-  rec.verdict = r.holds ? "holds" : "VIOLATED";
-  if (r.engine_used == tt::mc::EngineKind::kParallel &&
-      !tt::core::is_invariant_lemma(lemma)) {
-    rec.trim_rounds = static_cast<long long>(r.stats.trim_rounds);
-    rec.residue_states = static_cast<long long>(r.stats.residue_states);
-  }
-  return rec;
-}
-
 void print_table(tt::BenchReport& report) {
   const double paper[3][3] = {{44.11, 196.05, 77.14},
                               {166.34, 892.15, 615.03},
@@ -94,44 +75,21 @@ void print_table(tt::BenchReport& report) {
       auto cfg = fig4_config(degrees[d]);
       if (lemma == tt::core::Lemma::kTimeliness) cfg.timeliness_bound = 6 * cfg.n;
       const std::string slug = tt::strfmt("fig4/%s/deg%d", slugs[l], degrees[d]);
-      auto r = tt::core::verify(cfg, lemma);
-      auto rec = record_of(slug, r, lemma);
-      rec.reduction = "none";
-      report.add(rec);
+      const auto r = tt::core::verify(cfg, lemma);
+      report.add(tt::with_reduction(tt::record_of(slug, r), tt::mc::ReductionKind::kNone, 0));
       // Same cell over the symmetry quotient (--reduction sym): identical
       // verdict on the reduced state graph; the orbit-states/sym-s columns
       // show what the reduction buys at each fault degree.
-      tt::core::VerifyOptions red_opts;
-      red_opts.reduction = tt::mc::ReductionKind::kSymmetry;
-      auto q = tt::core::verify(cfg, lemma, red_opts);
-      auto red_rec = record_of(slug, q, lemma);
-      red_rec.reduction = "sym";
-      red_rec.canon_ops = static_cast<long long>(q.stats.canon_ops);
-      red_rec.orbit_states = static_cast<long long>(q.stats.states);
-      if (q.stats.states > 0) {
-        red_rec.reduction_ratio = static_cast<double>(r.stats.states) /
-                                  static_cast<double>(q.stats.states);
-      }
-      report.add(red_rec);
+      const auto q = tt::verify_reduced(cfg, lemma, tt::mc::ReductionKind::kSymmetry);
+      report.add(tt::with_reduction(tt::record_of(slug, q), tt::mc::ReductionKind::kSymmetry,
+                                    r.stats.states));
       if (q.holds != r.holds) std::printf("!! reduced/unreduced verdict disagreement\n");
       // And with the ample-set clamp on top (--reduction sym+por, DESIGN.md
       // §3.8): the s+p columns show the por component's extra shrink at
       // each fault degree.
-      tt::core::VerifyOptions sp_opts;
-      sp_opts.reduction = tt::mc::ReductionKind::kSymPor;
-      auto sp = tt::core::verify(cfg, lemma, sp_opts);
-      auto sp_rec = record_of(slug, sp, lemma);
-      sp_rec.reduction = "sym+por";
-      sp_rec.canon_ops = static_cast<long long>(sp.stats.canon_ops);
-      sp_rec.orbit_states = static_cast<long long>(sp.stats.states);
-      sp_rec.ample_sets = static_cast<long long>(sp.stats.ample_sets);
-      sp_rec.pruned_combos = static_cast<long long>(sp.stats.pruned_combos);
-      sp_rec.proviso_fallbacks = static_cast<long long>(sp.stats.proviso_fallbacks);
-      if (sp.stats.states > 0) {
-        sp_rec.reduction_ratio = static_cast<double>(r.stats.states) /
-                                 static_cast<double>(sp.stats.states);
-      }
-      report.add(sp_rec);
+      const auto sp = tt::verify_reduced(cfg, lemma, tt::mc::ReductionKind::kSymPor);
+      report.add(tt::with_reduction(tt::record_of(slug, sp), tt::mc::ReductionKind::kSymPor,
+                                    r.stats.states));
       if (sp.holds != r.holds) std::printf("!! sym+por/unreduced verdict disagreement\n");
       t.add_row({std::to_string(degrees[d]), tt::core::to_string(lemma),
                  r.holds ? "true" : "FALSE", tt::strfmt("%.2f", r.stats.seconds),
@@ -159,7 +117,6 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   tt::BenchReport report("bench_fig4_fault_degree_dial");
   print_table(report);
-  const std::string path = report.write();
-  if (!path.empty()) std::printf("machine-readable results: %s\n", path.c_str());
+  report.write();
   return 0;
 }

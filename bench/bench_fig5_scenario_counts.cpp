@@ -6,6 +6,7 @@
 
 #include <cstdio>
 
+#include "bench_record.hpp"
 #include "core/scenario_math.hpp"
 #include "mc/reachability.hpp"
 #include "obs/obs.hpp"
@@ -79,27 +80,13 @@ void print_table(tt::BenchReport& report) {
     tt::BenchRecord rec;
     rec.experiment = tt::strfmt("fig5/count_reachable/n%d", n);
     rec.engine = "seq";
-    rec.states = stats.states;
-    rec.transitions = stats.transitions;
-    rec.seconds = stats.seconds;
-    rec.exhausted = stats.exhausted;
     rec.verdict = stats.exhausted ? "count" : "count(truncated)";
-    rec.reduction = "none";
-    report.add(rec);
-    tt::BenchRecord orbit_rec = rec;
-    orbit_rec.states = orbit.states;
-    orbit_rec.transitions = orbit.transitions;
-    orbit_rec.seconds = orbit.seconds;
-    orbit_rec.exhausted = orbit.exhausted;
-    orbit_rec.verdict = orbit.exhausted ? "count" : "count(truncated)";
-    orbit_rec.reduction = "sym";
-    orbit_rec.canon_ops = static_cast<long long>(quotient.canon_ops());
-    orbit_rec.orbit_states = static_cast<long long>(orbit.states);
-    if (orbit.states > 0) {
-      orbit_rec.reduction_ratio =
-          static_cast<double>(stats.states) / static_cast<double>(orbit.states);
-    }
-    report.add(orbit_rec);
+    rec.stats = stats;
+    report.add(tt::with_reduction(rec, tt::mc::ReductionKind::kNone, 0));
+    rec.verdict = orbit.exhausted ? "count" : "count(truncated)";
+    rec.stats = orbit;
+    tt::core::annotate_reduction_stats(quotient, rec.stats);
+    report.add(tt::with_reduction(rec, tt::mc::ReductionKind::kSymmetry, stats.states));
   }
   std::printf("%s\n", m.render().c_str());
 }
@@ -116,7 +103,6 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   tt::BenchReport report("bench_fig5_scenario_counts");
   print_table(report);
-  const std::string path = report.write();
-  if (!path.empty()) std::printf("machine-readable results: %s\n", path.c_str());
+  report.write();
   return 0;
 }

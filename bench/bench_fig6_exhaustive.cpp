@@ -18,6 +18,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_record.hpp"
 #include "core/scenario_math.hpp"
 #include "core/verifier.hpp"
 #include "obs/obs.hpp"
@@ -27,6 +28,9 @@
 #include "tta/cluster.hpp"
 
 namespace {
+
+using tt::mc::EngineKind;
+using tt::mc::ReductionKind;
 
 // TTSTART_BENCH_QUICK=1 trims the sweep to the sizes CI can afford (the
 // bench-smoke job): n <= 4 and no n = 5 hub run, keeping every experiment
@@ -107,59 +111,24 @@ const char* lemma_slug(tt::core::Lemma lemma) {
   }
 }
 
-tt::BenchRecord record_of(const std::string& experiment,
-                          const tt::core::VerificationResult& r,
-                          tt::core::Lemma lemma) {
-  tt::BenchRecord rec;
-  rec.experiment = experiment;
-  rec.engine = tt::mc::to_string(r.engine_used);
-  rec.threads = r.stats.threads;
-  rec.states = r.stats.states;
-  rec.transitions = r.stats.transitions;
-  rec.seconds = r.stats.seconds;
-  rec.exhausted = r.stats.exhausted;
-  rec.verdict = r.holds ? "holds" : "VIOLATED";
-  if (r.engine_used == tt::mc::EngineKind::kSymbolic) {
-    rec.iterations = r.stats.bdd_iterations;
-    rec.peak_live_nodes = static_cast<long long>(r.stats.bdd_peak_live_nodes);
-  }
-  // OWCTY columns (schema v3): only the parallel liveness engine runs the
-  // trimming fixpoint, so only those records carry the fields.
-  if (r.engine_used == tt::mc::EngineKind::kParallel &&
-      !tt::core::is_invariant_lemma(lemma)) {
-    rec.trim_rounds = static_cast<long long>(r.stats.trim_rounds);
-    rec.residue_states = static_cast<long long>(r.stats.residue_states);
-  }
-  return rec;
+// The frontier engine's thread counts in the engine comparisons: 1, 2, 4 and
+// the hardware count `hw` (deduplicated). A `threads = hw` row measured on a
+// runner that may effectively have one CPU cannot show a parallel speedup,
+// so it is flagged `possibly_one_core` by the shared runtime probe (affinity
+// mask + cgroup quota, not just hardware_concurrency), as in every bench.
+std::vector<int> comparison_thread_counts(int hw) {
+  std::vector<int> counts = {1, 2, 4};
+  if (std::find(counts.begin(), counts.end(), hw) == counts.end()) counts.push_back(hw);
+  return counts;
 }
 
-// Reduction columns (schema v4, por columns v6) for a quotient run, paired
-// with its unreduced baseline when one ran (`raw_states` > 0). The ratio is
-// on *stored states* — the honest headline number; the far larger
-// transition/time reduction is visible from the paired rows themselves.
-void mark_reduced(tt::BenchRecord& rec, const tt::core::VerificationResult& r,
-                  tt::mc::ReductionKind kind, std::size_t raw_states) {
-  rec.reduction = tt::mc::to_string(kind);
-  rec.canon_ops = static_cast<long long>(r.stats.canon_ops);
-  rec.orbit_states = static_cast<long long>(r.stats.states);
-  if (raw_states > 0 && r.stats.states > 0) {
-    rec.reduction_ratio =
-        static_cast<double>(raw_states) / static_cast<double>(r.stats.states);
-  }
-  if (kind == tt::mc::ReductionKind::kPartialOrder ||
-      kind == tt::mc::ReductionKind::kSymPor) {
-    rec.ample_sets = static_cast<long long>(r.stats.ample_sets);
-    rec.pruned_combos = static_cast<long long>(r.stats.pruned_combos);
-    rec.proviso_fallbacks = static_cast<long long>(r.stats.proviso_fallbacks);
-  }
+// An engine-comparison table row: engine, threads, eval, states,
+// transitions, seconds, states/sec.
+std::vector<std::string> engine_row(const char* engine, const tt::core::VerificationResult& r) {
+  return {engine, std::to_string(r.stats.threads), r.holds ? "true" : "FALSE",
+          std::to_string(r.stats.states), std::to_string(r.stats.transitions),
+          tt::strfmt("%.2f", r.stats.seconds), tt::strfmt("%.0f", r.stats.states_per_sec())};
 }
-
-// PR-4 caveat, machine-readable (schema v4): a `threads = hw` row measured
-// on a runner that may effectively have one CPU cannot show a parallel
-// speedup, so its seconds column must not be read as one. The decision is
-// the shared runtime probe (affinity mask + cgroup quota, not just
-// hardware_concurrency) so every bench binary flags the same way.
-int possibly_one_core_flag() { return tt::probe_possibly_one_core(); }
 
 // The engine-comparison experiment: the exhaustive degree-6 safety run
 // (feedback on) with `seq` (the frontier engine at one thread), the
@@ -168,7 +137,7 @@ int possibly_one_core_flag() { return tt::probe_possibly_one_core(); }
 // point coincides with 4). Verdict and state count must be identical; the
 // JSON records carry states/sec for the perf trajectory, with `threads`
 // taken from the engine's resolved count, and the symbolic row adds the
-// v2 iterations/peak_live_nodes columns.
+// bdd section's columns.
 void engine_comparison(tt::BenchReport& report, int n) {
   std::printf("\n=== engine comparison: safety, n = %d, degree 6, feedback on ===\n", n);
   tt::TextTable t({"engine", "threads", "eval", "states", "transitions", "seconds",
@@ -176,43 +145,25 @@ void engine_comparison(tt::BenchReport& report, int n) {
   auto cfg = fig6_node_config(n);
   const std::string slug = tt::strfmt("fig6/engine_compare/safety_n%d", n);
 
-  tt::core::VerifyOptions seq_opts;
-  seq_opts.engine = tt::mc::EngineKind::kSequential;
-  const auto seq = tt::core::verify(cfg, tt::core::Lemma::kSafety, seq_opts);
-  report.add(record_of(slug, seq, tt::core::Lemma::kSafety));
-  t.add_row({"seq", "1", seq.holds ? "true" : "FALSE", std::to_string(seq.stats.states),
-             std::to_string(seq.stats.transitions), tt::strfmt("%.2f", seq.stats.seconds),
-             tt::strfmt("%.0f", seq.stats.states_per_sec())});
+  const auto seq = tt::verify_on(cfg, tt::core::Lemma::kSafety, EngineKind::kSequential);
+  report.add(tt::record_of(slug, seq));
+  t.add_row(engine_row("seq", seq));
 
-  tt::core::VerifyOptions sym_opts;
-  sym_opts.engine = tt::mc::EngineKind::kSymbolic;
-  const auto sym = tt::core::verify(cfg, tt::core::Lemma::kSafety, sym_opts);
-  report.add(record_of(slug, sym, tt::core::Lemma::kSafety));
-  t.add_row({"sym", "1", sym.holds ? "true" : "FALSE", std::to_string(sym.stats.states),
-             std::to_string(sym.stats.transitions), tt::strfmt("%.2f", sym.stats.seconds),
-             tt::strfmt("%.0f", sym.stats.states_per_sec())});
+  const auto sym = tt::verify_on(cfg, tt::core::Lemma::kSafety, EngineKind::kSymbolic);
+  report.add(tt::record_of(slug, sym));
+  t.add_row(engine_row("sym", sym));
   if (sym.holds != seq.holds || sym.stats.states != seq.stats.states) {
     std::printf("!! symbolic/sequential engine disagreement\n");
   }
 
-  std::vector<int> thread_counts = {1, 2, 4};
   const int hw = tt::mc::resolve_threads(0);
-  if (std::find(thread_counts.begin(), thread_counts.end(), hw) == thread_counts.end()) {
-    thread_counts.push_back(hw);
-  }
-  for (int threads : thread_counts) {
-    tt::core::VerifyOptions par_opts;
-    par_opts.engine = tt::mc::EngineKind::kParallel;
-    par_opts.threads = threads;
-    const auto par = tt::core::verify(cfg, tt::core::Lemma::kSafety, par_opts);
-    auto rec = record_of(slug, par, tt::core::Lemma::kSafety);
-    if (threads == hw) rec.possibly_one_core = possibly_one_core_flag();
+  for (int threads : comparison_thread_counts(hw)) {
+    const auto par = tt::verify_on(cfg, tt::core::Lemma::kSafety, EngineKind::kParallel, threads);
+    auto rec = tt::record_of(slug, par);
+    if (threads == hw) rec.possibly_one_core = tt::probe_possibly_one_core();
     report.add(std::move(rec));
     const bool agrees = par.holds == seq.holds && par.stats.states == seq.stats.states;
-    t.add_row({"par", std::to_string(par.stats.threads), par.holds ? "true" : "FALSE",
-               std::to_string(par.stats.states), std::to_string(par.stats.transitions),
-               tt::strfmt("%.2f", par.stats.seconds),
-               tt::strfmt("%.0f", par.stats.states_per_sec())});
+    t.add_row(engine_row("par", par));
     if (!agrees) std::printf("!! engine disagreement at %d threads\n", threads);
   }
   std::printf("%s", t.render().c_str());
@@ -225,8 +176,8 @@ void engine_comparison(tt::BenchReport& report, int n) {
 // lasso search, the symbolic EG(!goal) fixpoint, and the parallel OWCTY
 // engine at 1, 2, 4 and hardware-concurrency threads. All engines must
 // agree on the verdict; seq and par additionally agree exactly on the
-// goal-free state/transition counts, and the par rows carry the v3
-// trim_rounds/residue_states columns (residue 0 on these HOLDS cells —
+// goal-free state/transition counts, and the par rows carry the owcty
+// section's columns (residue_states 0 on these HOLDS cells —
 // every goal-free state trims away). The symbolic row is restricted to
 // n <= 4: its partitioned transition relation scales with goal-free
 // *edges*, and the n = 5 cell has ~8M of them.
@@ -238,46 +189,33 @@ void engine_comparison_liveness(tt::BenchReport& report, int n) {
   const std::string slug = tt::strfmt("fig6/engine_compare/liveness_n%d", n);
   const auto lemma = tt::core::Lemma::kLiveness;
 
-  tt::core::VerifyOptions seq_opts;
-  seq_opts.engine = tt::mc::EngineKind::kSequential;
-  const auto seq = tt::core::verify(cfg, lemma, seq_opts);
-  report.add(record_of(slug, seq, lemma));
-  t.add_row({"seq", "1", seq.holds ? "true" : "FALSE", std::to_string(seq.stats.states),
-             std::to_string(seq.stats.transitions), tt::strfmt("%.2f", seq.stats.seconds),
-             tt::strfmt("%.0f", seq.stats.states_per_sec()), "-", "-"});
+  const auto seq = tt::verify_on(cfg, lemma, EngineKind::kSequential);
+  report.add(tt::record_of(slug, seq));
+  auto seq_row = engine_row("seq", seq);
+  seq_row.insert(seq_row.end(), {"-", "-"});
+  t.add_row(seq_row);
 
   if (n <= 4) {
-    tt::core::VerifyOptions sym_opts;
-    sym_opts.engine = tt::mc::EngineKind::kSymbolic;
-    const auto sym = tt::core::verify(cfg, lemma, sym_opts);
-    report.add(record_of(slug, sym, lemma));
-    t.add_row({"sym", "1", sym.holds ? "true" : "FALSE", std::to_string(sym.stats.states),
-               std::to_string(sym.stats.transitions), tt::strfmt("%.2f", sym.stats.seconds),
-               tt::strfmt("%.0f", sym.stats.states_per_sec()), "-", "-"});
+    const auto sym = tt::verify_on(cfg, lemma, EngineKind::kSymbolic);
+    report.add(tt::record_of(slug, sym));
+    auto sym_row = engine_row("sym", sym);
+    sym_row.insert(sym_row.end(), {"-", "-"});
+    t.add_row(sym_row);
     if (sym.holds != seq.holds) std::printf("!! symbolic/sequential engine disagreement\n");
   }
 
-  std::vector<int> thread_counts = {1, 2, 4};
   const int hw = tt::mc::resolve_threads(0);
-  if (std::find(thread_counts.begin(), thread_counts.end(), hw) == thread_counts.end()) {
-    thread_counts.push_back(hw);
-  }
-  for (int threads : thread_counts) {
-    tt::core::VerifyOptions par_opts;
-    par_opts.engine = tt::mc::EngineKind::kParallel;
-    par_opts.threads = threads;
-    const auto par = tt::core::verify(cfg, lemma, par_opts);
-    auto rec = record_of(slug, par, lemma);
-    if (threads == hw) rec.possibly_one_core = possibly_one_core_flag();
+  for (int threads : comparison_thread_counts(hw)) {
+    const auto par = tt::verify_on(cfg, lemma, EngineKind::kParallel, threads);
+    auto rec = tt::record_of(slug, par);
+    if (threads == hw) rec.possibly_one_core = tt::probe_possibly_one_core();
     report.add(std::move(rec));
     const bool agrees = par.holds == seq.holds && par.stats.states == seq.stats.states &&
                         par.stats.transitions == seq.stats.transitions;
-    t.add_row({"par", std::to_string(par.stats.threads), par.holds ? "true" : "FALSE",
-               std::to_string(par.stats.states), std::to_string(par.stats.transitions),
-               tt::strfmt("%.2f", par.stats.seconds),
-               tt::strfmt("%.0f", par.stats.states_per_sec()),
-               std::to_string(par.stats.trim_rounds),
-               std::to_string(par.stats.residue_states)});
+    auto par_row = engine_row("par", par);
+    par_row.insert(par_row.end(), {std::to_string(par.stats.trim_rounds),
+                                   std::to_string(par.stats.residue_states)});
+    t.add_row(par_row);
     if (!agrees) std::printf("!! engine disagreement at %d threads\n", threads);
   }
   std::printf("%s", t.render().c_str());
@@ -312,12 +250,10 @@ bool tracing_overhead(tt::BenchReport& report) {
   const int n = quick_mode() ? 4 : 5;
   std::printf("\n=== tracing-disabled overhead: safety, n = %d, degree 6 ===\n", n);
   const auto cfg = fig6_node_config(n);
-  tt::core::VerifyOptions opts;
-  opts.engine = tt::mc::EngineKind::kSequential;
   auto min_of = [&](int reps, tt::core::VerificationResult& out) {
     double best = -1.0;
     for (int rep = 0; rep < reps; ++rep) {
-      out = tt::core::verify(cfg, tt::core::Lemma::kSafety, opts);
+      out = tt::verify_on(cfg, tt::core::Lemma::kSafety, EngineKind::kSequential);
       if (best < 0 || out.stats.seconds < best) best = out.stats.seconds;
     }
     return best;
@@ -325,9 +261,8 @@ bool tracing_overhead(tt::BenchReport& report) {
   tt::core::VerificationResult r;
   const int reps = quick_mode() ? 3 : 9;
   const double best = min_of(reps, r);
-  auto rec = record_of(tt::strfmt("fig6/tracing_overhead/n%d", n), r,
-                       tt::core::Lemma::kSafety);
-  rec.seconds = best;
+  auto rec = tt::record_of(tt::strfmt("fig6/tracing_overhead/n%d", n), r);
+  rec.stats.seconds = best;
   report.add(rec);
   std::printf("seq, tracing compiled in but disabled: %.3fs (min of %d)\n", best, reps);
 
@@ -406,40 +341,29 @@ void print_table(tt::BenchReport& report) {
       auto cfg = e.hub ? fig6_hub_config(n) : fig6_node_config(n);
       if (e.lemma == tt::core::Lemma::kTimeliness) cfg.timeliness_bound = 8 * n;
       const std::string slug = tt::strfmt("fig6/%s/n%d", lemma_slug(e.lemma), n);
-      auto r = tt::core::verify(cfg, e.lemma);
-      auto raw_rec = record_of(slug, r, e.lemma);
-      raw_rec.reduction = "none";
-      report.add(std::move(raw_rec));
+      const auto r = tt::core::verify(cfg, e.lemma);
+      report.add(tt::with_reduction(tt::record_of(slug, r), ReductionKind::kNone, 0));
       // The paired symmetry-quotient run of the same cell: same lemma, same
       // default engine, the reduced state graph underneath. Verdicts must
       // agree (the quotient is verdict-preserving; tested in
       // tests/core/reduction_equivalence_test.cpp).
-      tt::core::VerifyOptions red_opts;
-      red_opts.reduction = tt::mc::ReductionKind::kSymmetry;
-      auto q = tt::core::verify(cfg, e.lemma, red_opts);
-      auto red_rec = record_of(slug, q, e.lemma);
-      mark_reduced(red_rec, q, tt::mc::ReductionKind::kSymmetry, r.stats.states);
-      report.add(std::move(red_rec));
+      const auto q = tt::verify_reduced(cfg, e.lemma, ReductionKind::kSymmetry);
+      report.add(tt::with_reduction(tt::record_of(slug, q), ReductionKind::kSymmetry,
+                                    r.stats.states));
       if (q.holds != r.holds) std::printf("!! reduced/unreduced verdict disagreement\n");
       // And the sym+por run: the ample-set clamp over the orbit quotient
       // (DESIGN.md §3.8), the mode the frontier cells below depend on.
-      tt::core::VerifyOptions sp_opts;
-      sp_opts.reduction = tt::mc::ReductionKind::kSymPor;
-      auto sp = tt::core::verify(cfg, e.lemma, sp_opts);
-      auto sp_rec = record_of(slug, sp, e.lemma);
-      mark_reduced(sp_rec, sp, tt::mc::ReductionKind::kSymPor, r.stats.states);
-      report.add(std::move(sp_rec));
+      const auto sp = tt::verify_reduced(cfg, e.lemma, ReductionKind::kSymPor);
+      report.add(tt::with_reduction(tt::record_of(slug, sp), ReductionKind::kSymPor,
+                                    r.stats.states));
       if (sp.holds != r.holds) std::printf("!! sym+por/unreduced verdict disagreement\n");
       // One clamp-only row (--reduction por) on the cheapest cell, so the
       // JSON separates what the clamp buys alone from what the composition
       // buys, and CI's --require-reduction sym,por,sym+por stays honest.
       if (e.lemma == tt::core::Lemma::kSafety && n == 3) {
-        tt::core::VerifyOptions por_opts;
-        por_opts.reduction = tt::mc::ReductionKind::kPartialOrder;
-        auto p = tt::core::verify(cfg, e.lemma, por_opts);
-        auto por_rec = record_of(slug, p, e.lemma);
-        mark_reduced(por_rec, p, tt::mc::ReductionKind::kPartialOrder, r.stats.states);
-        report.add(std::move(por_rec));
+        const auto p = tt::verify_reduced(cfg, e.lemma, ReductionKind::kPartialOrder);
+        report.add(tt::with_reduction(tt::record_of(slug, p), ReductionKind::kPartialOrder,
+                                      r.stats.states));
         if (p.holds != r.holds) std::printf("!! por/unreduced verdict disagreement\n");
       }
       const tt::tta::Cluster cluster(tt::core::prepare_config(cfg, e.lemma));
@@ -482,16 +406,12 @@ void fig6_n6(tt::BenchReport& report) {
   auto cfg = fig6_node_config(6);
   const std::string slug = "fig6/safety/n6";
 
-  tt::core::VerifyOptions sp_opts;
-  sp_opts.reduction = tt::mc::ReductionKind::kSymPor;
-  const auto sp = tt::core::verify(cfg, tt::core::Lemma::kSafety, sp_opts);
+  const auto sp = tt::verify_reduced(cfg, tt::core::Lemma::kSafety, ReductionKind::kSymPor);
   std::printf("sym+por:      eval=%s states=%zu transitions=%zu seconds=%.2f\n",
               sp.holds ? "true" : "FALSE", sp.stats.states, sp.stats.transitions,
               sp.stats.seconds);
 
-  tt::core::VerifyOptions red_opts;
-  red_opts.reduction = tt::mc::ReductionKind::kSymmetry;
-  const auto q = tt::core::verify(cfg, tt::core::Lemma::kSafety, red_opts);
+  const auto q = tt::verify_reduced(cfg, tt::core::Lemma::kSafety, ReductionKind::kSymmetry);
   std::printf("sym quotient: eval=%s states=%zu transitions=%zu seconds=%.2f\n",
               q.holds ? "true" : "FALSE", q.stats.states, q.stats.transitions,
               q.stats.seconds);
@@ -508,15 +428,9 @@ void fig6_n6(tt::BenchReport& report) {
                 static_cast<double>(q.stats.states) / static_cast<double>(sp.stats.states));
   }
 
-  auto raw_rec = record_of(slug, r, tt::core::Lemma::kSafety);
-  raw_rec.reduction = "none";
-  report.add(std::move(raw_rec));
-  auto red_rec = record_of(slug, q, tt::core::Lemma::kSafety);
-  mark_reduced(red_rec, q, tt::mc::ReductionKind::kSymmetry, r.stats.states);
-  report.add(std::move(red_rec));
-  auto sp_rec = record_of(slug, sp, tt::core::Lemma::kSafety);
-  mark_reduced(sp_rec, sp, tt::mc::ReductionKind::kSymPor, r.stats.states);
-  report.add(std::move(sp_rec));
+  report.add(tt::with_reduction(tt::record_of(slug, r), ReductionKind::kNone, 0));
+  report.add(tt::with_reduction(tt::record_of(slug, q), ReductionKind::kSymmetry, r.stats.states));
+  report.add(tt::with_reduction(tt::record_of(slug, sp), ReductionKind::kSymPor, r.stats.states));
 }
 
 // The n = 7 frontier cell: first completed here, by the composed sym+por
@@ -527,42 +441,23 @@ void fig6_n6(tt::BenchReport& report) {
 // along: the first lasso-engine completion beyond n = 5.
 void fig6_frontier_sympor(tt::BenchReport& report) {
   std::printf("\n=== Figure 6 frontier (sym+por only) ===\n");
-  {
-    auto cfg = fig6_node_config(7);
-    tt::core::VerifyOptions opts;
-    opts.reduction = tt::mc::ReductionKind::kSymPor;
-    const auto r = tt::core::verify(cfg, tt::core::Lemma::kSafety, opts);
-    std::printf("safety n=7:   eval=%s states=%zu transitions=%zu seconds=%.2f\n",
+  struct Cell {
+    const char* label;
+    const char* experiment;
+    int n;
+    tt::core::Lemma lemma;
+  };
+  for (const Cell& c : {Cell{"safety n=7:  ", "fig6/safety/n7", 7, tt::core::Lemma::kSafety},
+                        Cell{"liveness n=6:", "fig6/liveness/n6", 6, tt::core::Lemma::kLiveness},
+                        Cell{"timeliness n=6:", "fig6/timeliness/n6", 6,
+                             tt::core::Lemma::kTimeliness}}) {
+    auto cfg = fig6_node_config(c.n);
+    if (c.lemma == tt::core::Lemma::kTimeliness) cfg.timeliness_bound = 8 * c.n;
+    const auto r = tt::verify_reduced(cfg, c.lemma, ReductionKind::kSymPor);
+    std::printf("%s eval=%s states=%zu transitions=%zu seconds=%.2f\n", c.label,
                 r.holds ? "true" : "FALSE", r.stats.states, r.stats.transitions,
                 r.stats.seconds);
-    auto rec = record_of("fig6/safety/n7", r, tt::core::Lemma::kSafety);
-    mark_reduced(rec, r, tt::mc::ReductionKind::kSymPor, /*raw_states=*/0);
-    report.add(std::move(rec));
-  }
-  {
-    auto cfg = fig6_node_config(6);
-    tt::core::VerifyOptions opts;
-    opts.reduction = tt::mc::ReductionKind::kSymPor;
-    const auto r = tt::core::verify(cfg, tt::core::Lemma::kLiveness, opts);
-    std::printf("liveness n=6: eval=%s states=%zu transitions=%zu seconds=%.2f\n",
-                r.holds ? "true" : "FALSE", r.stats.states, r.stats.transitions,
-                r.stats.seconds);
-    auto rec = record_of("fig6/liveness/n6", r, tt::core::Lemma::kLiveness);
-    mark_reduced(rec, r, tt::mc::ReductionKind::kSymPor, /*raw_states=*/0);
-    report.add(std::move(rec));
-  }
-  {
-    auto cfg = fig6_node_config(6);
-    cfg.timeliness_bound = 8 * 6;
-    tt::core::VerifyOptions opts;
-    opts.reduction = tt::mc::ReductionKind::kSymPor;
-    const auto r = tt::core::verify(cfg, tt::core::Lemma::kTimeliness, opts);
-    std::printf("timeliness n=6: eval=%s states=%zu transitions=%zu seconds=%.2f\n",
-                r.holds ? "true" : "FALSE", r.stats.states, r.stats.transitions,
-                r.stats.seconds);
-    auto rec = record_of("fig6/timeliness/n6", r, tt::core::Lemma::kTimeliness);
-    mark_reduced(rec, r, tt::mc::ReductionKind::kSymPor, /*raw_states=*/0);
-    report.add(std::move(rec));
+    report.add(tt::with_reduction(tt::record_of(c.experiment, r), ReductionKind::kSymPor, 0));
   }
   // The fourth lemma, safety_2, is the faulty-*hub* scenario: the clamp's
   // admissibility gate is closed from slot 0 there (sym+por == sym by
@@ -598,7 +493,6 @@ int main(int argc, char** argv) {
   // tracer is installed for this process.
   bool overhead_ok = true;
   if (obs_opts.trace_out.empty()) overhead_ok = tracing_overhead(report);
-  const std::string path = report.write();
-  if (!path.empty()) std::printf("machine-readable results: %s\n", path.c_str());
+  report.write();
   return overhead_ok ? 0 : 1;
 }

@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "mc/explore.hpp"
 #include "support/bench_report.hpp"
 #include "support/hash.hpp"
 #include "support/lockfree_state_index_map.hpp"
@@ -201,7 +202,7 @@ BENCHMARK(BM_InternLockFree)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 void contended_stage(tt::BenchReport& report, const std::vector<State>& stream) {
   std::printf("=== contended insert: owner-sharded locked vs lockfree ===\n");
   tt::TextTable t({"store", "traffic", "threads", "items", "seconds", "items/sec",
-                   "cas_retries"});
+                   "CAS retries"});
   const unsigned hw = std::thread::hardware_concurrency();
   // One probed source for the one-core caveat (ROADMAP item 2): on a runner
   // that may effectively have a single CPU, multi-thread contended rows are
@@ -243,37 +244,34 @@ void contended_stage(tt::BenchReport& report, const std::vector<State>& stream) 
       slices[i / slice].push_back(pos);
     }
     for (const bool lockfree : {false, true}) {
-      long long retries = -1;
-      double seconds = 0.0;
+      tt::BenchRecord rec;
+      rec.experiment = tt::strfmt("hotpath/contended/t%u", k);
+      rec.engine = "par";
+      rec.verdict = "ok";
+      rec.store = lockfree ? "lockfree" : "locked";
+      if (k > 1) rec.possibly_one_core = tt::probe_possibly_one_core();
+      rec.stats.threads = static_cast<int>(k);
+      rec.stats.transitions = stream.size();
       // Both stores run the production shard count and an identical pre-size
       // (concurrent lockfree inserts never grow; see BM_InternLockFree).
       if (lockfree) {
         tt::LockFreeStateIndexMap<kW> map(16);
         map.reserve(stream.size());
-        seconds = run(map, slices);
-        retries = static_cast<long long>(map.store_stats().cas_retries);
+        rec.stats.seconds = run(map, slices);
+        tt::mc::copy_store_stats(map, rec.stats);
       } else {
         tt::ShardedStateIndexMap<kW> map(16);
         map.reserve(stream.size());
-        seconds = run(map, owned);
+        rec.stats.seconds = run(map, owned);
       }
-      tt::BenchRecord rec;
-      rec.experiment = tt::strfmt("hotpath/contended/t%u", k);
-      rec.engine = "par";
-      rec.threads = static_cast<int>(k);
-      rec.transitions = stream.size();
-      rec.seconds = seconds;
-      rec.verdict = "ok";
-      rec.store = lockfree ? "lockfree" : "locked";
-      rec.cas_retries = retries;
-      if (k > 1) rec.possibly_one_core = tt::probe_possibly_one_core();
       report.add(rec);
+      const double seconds = rec.stats.seconds;
       t.add_row({rec.store, lockfree ? "slices" : "owner", std::to_string(k),
                  std::to_string(stream.size()),
                  tt::strfmt("%.4f", seconds),
                  tt::strfmt("%.0f",
                             seconds > 0 ? static_cast<double>(stream.size()) / seconds : 0),
-                 retries >= 0 ? std::to_string(retries) : "-"});
+                 lockfree ? std::to_string(rec.stats.cas_retries) : "-"});
     }
   }
   std::printf("%s", t.render().c_str());
@@ -322,25 +320,23 @@ void maintain_pause_stage(tt::BenchReport& report, const std::vector<State>& uni
       max_pause = std::max(max_pause, s);
       ++maintains;
     }
-    const auto stats = map.store_stats();
+    tt::BenchRecord rec;
+    rec.engine = "seq";
+    rec.verdict = "ok";
+    rec.store = "lockfree";
+    rec.possibly_one_core = one_core;
+    rec.stats.states = uniq.size();
+    tt::mc::copy_store_stats(map, rec.stats);
     const char* mode = sync ? "sync" : "async";
     for (const bool is_max : {false, true}) {
-      tt::BenchRecord rec;
       rec.experiment = tt::strfmt("hotpath/maintain_pause%s/%s", is_max ? "_max" : "", mode);
-      rec.engine = "seq";
-      rec.states = uniq.size();
-      rec.seconds = is_max ? max_pause : total;
-      rec.verdict = "ok";
-      rec.store = "lockfree";
-      rec.spill_bytes = static_cast<long long>(stats.spill_bytes);
-      rec.spill_sync_waits = static_cast<long long>(stats.spill_sync_waits);
-      rec.spill_async_pages = static_cast<long long>(stats.spill_async_pages);
-      rec.possibly_one_core = one_core;
+      rec.stats.seconds = is_max ? max_pause : total;
       report.add(rec);
     }
     t.add_row({mode, std::to_string(uniq.size()), std::to_string(maintains),
                tt::strfmt("%.5f", total), tt::strfmt("%.5f", max_pause),
-               std::to_string(stats.spill_sync_waits), std::to_string(stats.spill_async_pages)});
+               std::to_string(rec.stats.spill_sync_waits),
+               std::to_string(rec.stats.spill_async_pages)});
   }
   std::printf("%s", t.render().c_str());
   if (one_core != 0) {
@@ -366,7 +362,7 @@ void resident_bytes_stage(tt::BenchReport& report, const std::vector<State>& uni
     tt::BenchRecord rec;
     rec.experiment = "hotpath/resident/unique_set";
     rec.engine = "seq";
-    rec.states = uniq.size();
+    rec.stats.states = uniq.size();
     rec.verdict = "ok";
     rec.store = store;
     rec.resident_bytes = static_cast<long long>(bytes);
@@ -403,8 +399,8 @@ void emit_report(tt::BenchReport& report) {
     tt::BenchRecord rec;
     rec.experiment = experiment;
     rec.engine = engine;
-    rec.transitions = items;
-    rec.seconds = seconds;
+    rec.stats.transitions = items;
+    rec.stats.seconds = seconds;
     rec.verdict = "ok";
     rec.store = store;
     report.add(rec);
@@ -505,7 +501,6 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   tt::BenchReport report("bench_hotpath");
   emit_report(report);
-  const std::string path = report.write();
-  if (!path.empty()) std::printf("machine-readable results: %s\n", path.c_str());
+  report.write();
   return 0;
 }

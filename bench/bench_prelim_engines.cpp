@@ -95,10 +95,8 @@ void print_table(tt::BenchReport& report) {
       tt::BenchRecord rec;
       rec.experiment = tt::strfmt("prelim/deg3/n%d", n);
       rec.engine = "seq";
-      rec.states = explicit_r.states;
-      rec.transitions = explicit_r.transitions;
-      rec.seconds = explicit_r.seconds;
       rec.verdict = "count";
+      rec.stats = explicit_r;
       report.add(rec);
     }
 
@@ -111,13 +109,18 @@ void print_table(tt::BenchReport& report) {
       tt::BenchRecord rec;
       rec.experiment = tt::strfmt("prelim/deg3/n%d", n);
       rec.engine = "sym";
-      rec.states = sym.reachable_exact.fits_u64()
-                       ? static_cast<std::size_t>(sym.reachable_exact.to_u64())
-                       : static_cast<std::size_t>(sym.reachable_states);
-      rec.seconds = sym.seconds;
       rec.verdict = "count";
-      rec.iterations = sym.iterations;
-      rec.peak_live_nodes = static_cast<long long>(sym.peak_nodes);
+      rec.stats.states = sym.reachable_exact.fits_u64()
+                             ? static_cast<std::size_t>(sym.reachable_exact.to_u64())
+                             : static_cast<std::size_t>(sym.reachable_states);
+      rec.stats.seconds = sym.seconds;
+      // The kernel-level BDD engine reports in its own result type.
+      rec.stats.bdd_peak_live_nodes = sym.peak_nodes;
+      rec.stats.bdd_gc_collections = sym.gc_collections;
+      rec.stats.bdd_unique_hit_rate = sym.unique_hit_rate;
+      rec.stats.bdd_op_cache_hit_rate = sym.op_cache_hit_rate;
+      rec.stats.bdd_iterations = sym.iterations;
+      rec.stats.mark(tt::mc::Section::kBdd);
       report.add(rec);
     }
 
@@ -136,11 +139,8 @@ void print_table(tt::BenchReport& report) {
       tt::BenchRecord rec;
       rec.experiment = tt::strfmt("prelim/liveness_deg3/n%d", n);
       rec.engine = "seq";
-      rec.states = live_seq.stats.states;
-      rec.transitions = live_seq.stats.transitions;
-      rec.seconds = live_seq.stats.seconds;
-      rec.exhausted = live_seq.stats.exhausted;
       rec.verdict = tt::mc::to_string(live_seq.verdict);
+      rec.stats = live_seq.stats;
       report.add(rec);
     }
     const auto live_sym = tt::mc::check_eventually_symbolic(ps, goal);
@@ -151,13 +151,8 @@ void print_table(tt::BenchReport& report) {
       tt::BenchRecord rec;
       rec.experiment = tt::strfmt("prelim/liveness_deg3/n%d", n);
       rec.engine = "sym";
-      rec.states = live_sym.stats.states;
-      rec.transitions = live_sym.stats.transitions;
-      rec.seconds = live_sym.stats.seconds;
-      rec.exhausted = live_sym.stats.exhausted;
       rec.verdict = tt::mc::to_string(live_sym.verdict);
-      rec.iterations = static_cast<long long>(live_sym.stats.bdd_iterations);
-      rec.peak_live_nodes = static_cast<long long>(live_sym.stats.bdd_peak_live_nodes);
+      rec.stats = live_sym.stats;
       report.add(rec);
     }
     if (live_sym.verdict != live_seq.verdict) {
@@ -178,11 +173,8 @@ void print_table(tt::BenchReport& report) {
       tt::BenchRecord rec;
       rec.experiment = tt::strfmt("prelim/safety_deg1/n%d", n);
       rec.engine = "seq";
-      rec.states = safety_r.stats.states;
-      rec.transitions = safety_r.stats.transitions;
-      rec.seconds = safety_r.stats.seconds;
-      rec.exhausted = safety_r.stats.exhausted;
       rec.verdict = safety_r.verdict == tt::mc::Verdict::kHolds ? "holds" : "VIOLATED";
+      rec.stats = safety_r.stats;
       report.add(rec);
     }
 
@@ -195,7 +187,7 @@ void print_table(tt::BenchReport& report) {
       tt::BenchRecord rec;
       rec.experiment = tt::strfmt("prelim/bmc_deg2/n%d", n);
       rec.engine = "sat";
-      rec.seconds = bmc.seconds;
+      rec.stats.seconds = bmc.seconds;
       rec.verdict =
           bmc.violation_found ? tt::strfmt("VIOLATED@%d", bmc.depth) : std::string("no cex");
       report.add(rec);
@@ -216,7 +208,6 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   tt::BenchReport report("bench_prelim_engines");
   print_table(report);
-  const std::string path = report.write();
-  if (!path.empty()) std::printf("machine-readable results: %s\n", path.c_str());
+  report.write();
   return 0;
 }

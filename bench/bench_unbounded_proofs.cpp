@@ -23,6 +23,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "bench_record.hpp"
 #include "bmc/encoder.hpp"
 #include "core/verifier.hpp"
 #include "support/bench_report.hpp"
@@ -68,32 +69,17 @@ tt::tta::ClusterConfig clique_config(int n) {
   return cfg;
 }
 
-tt::core::VerificationResult run_proof(const tt::tta::ClusterConfig& cfg,
-                                       tt::core::Lemma lemma, tt::mc::EngineKind engine) {
-  tt::core::VerifyOptions opts;
-  opts.engine = engine;
-  return tt::core::verify(cfg, lemma, opts);
-}
-
 void add_proof_record(tt::BenchReport& report, const std::string& experiment,
-                      const char* engine, const tt::core::VerificationResult& r) {
-  tt::BenchRecord rec;
-  rec.experiment = experiment;
-  rec.engine = engine;
-  rec.seconds = r.stats.seconds;
-  rec.exhausted = r.exhausted;
+                      const tt::core::VerificationResult& r) {
+  auto rec = tt::record_of(experiment, r);
   rec.verdict = r.verdict_text;
-  rec.solver_calls = static_cast<long long>(r.stats.solver_calls);
-  rec.clauses_reused = static_cast<long long>(r.stats.clauses_reused);
-  rec.frames = static_cast<long long>(r.stats.frames);
-  rec.proof_obligations = static_cast<long long>(r.stats.proof_obligations);
   report.add(rec);
 }
 
 void BM_KindProvesFig6(benchmark::State& state) {
   const auto cfg = fig6_config(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    const auto r = run_proof(cfg, tt::core::Lemma::kSafety, tt::mc::EngineKind::kKInduction);
+    const auto r = tt::verify_on(cfg, tt::core::Lemma::kSafety, tt::mc::EngineKind::kKInduction);
     if (!r.holds) state.SkipWithError("expected PROVED");
     state.counters["solver_calls"] = static_cast<double>(r.stats.solver_calls);
   }
@@ -114,10 +100,10 @@ BENCHMARK(BM_IncrementalBmcClique)->Arg(3)->Unit(benchmark::kMillisecond)->MinTi
 
 void kind_row(tt::TextTable& t, tt::BenchReport& report, const std::string& experiment,
               const tt::tta::ClusterConfig& cfg, tt::core::Lemma lemma) {
-  const auto r = run_proof(cfg, lemma, tt::mc::EngineKind::kKInduction);
+  const auto r = tt::verify_on(cfg, lemma, tt::mc::EngineKind::kKInduction);
   t.add_row({experiment, "kind", r.verdict_text, std::to_string(r.stats.solver_calls),
              std::to_string(r.stats.clauses_reused), tt::strfmt("%.2f", r.stats.seconds)});
-  add_proof_record(report, experiment, "kind", r);
+  add_proof_record(report, experiment, r);
   if (!r.holds) std::printf("!! expected PROVED on %s\n", experiment.c_str());
 }
 
@@ -150,11 +136,11 @@ void print_table(tt::BenchReport& report) {
     cfg.init_window = 3;
     cfg.hub_init_window = 3;
     cfg.timeliness_bound = 2;  // tightened until the lemma breaks shallow
-    const auto r = run_proof(cfg, tt::core::Lemma::kTimeliness, tt::mc::EngineKind::kIc3);
+    const auto r = tt::verify_on(cfg, tt::core::Lemma::kTimeliness, tt::mc::EngineKind::kIc3);
     t.add_row({"ic3/refute/tight_bound", "ic3", r.verdict_text,
                std::to_string(r.stats.solver_calls), std::to_string(r.stats.clauses_reused),
                tt::strfmt("%.2f", r.stats.seconds)});
-    add_proof_record(report, "ic3/refute/tight_bound", "ic3", r);
+    add_proof_record(report, "ic3/refute/tight_bound", r);
     if (r.holds) std::printf("!! expected VIOLATED on ic3/refute/tight_bound\n");
   }
   if (!quick_mode()) {
@@ -164,11 +150,11 @@ void print_table(tt::BenchReport& report) {
     cfg.fault_degree = 1;
     cfg.init_window = 2;
     cfg.hub_init_window = 2;
-    const auto r = run_proof(cfg, tt::core::Lemma::kSafety, tt::mc::EngineKind::kIc3);
+    const auto r = tt::verify_on(cfg, tt::core::Lemma::kSafety, tt::mc::EngineKind::kIc3);
     t.add_row({"ic3/prove/reduced_window", "ic3", r.verdict_text,
                std::to_string(r.stats.solver_calls), std::to_string(r.stats.clauses_reused),
                tt::strfmt("%.2f", r.stats.seconds)});
-    add_proof_record(report, "ic3/prove/reduced_window", "ic3", r);
+    add_proof_record(report, "ic3/prove/reduced_window", r);
     if (!r.holds) std::printf("!! expected PROVED on ic3/prove/reduced_window\n");
   }
 
@@ -201,13 +187,15 @@ void print_table(tt::BenchReport& report) {
     tt::BenchRecord rec;
     rec.experiment = tt::strfmt("s52/clique/n%d", n);
     rec.engine = "sat";
-    rec.seconds = r.seconds;
-    rec.exhausted = r.violation_found;
     rec.verdict = r.violation_found ? tt::strfmt("VIOLATED@%d", r.depth / 2)
                                     : std::string("no cex");
-    rec.solver_calls = static_cast<long long>(r.solver_calls);
-    rec.clauses_reused = static_cast<long long>(r.clauses_reused);
-    rec.frames = static_cast<long long>(r.depth) + 1;
+    rec.stats.seconds = r.seconds;
+    rec.stats.exhausted = r.violation_found;
+    // Bounded BMC reports in its own result type.
+    rec.stats.solver_calls = r.solver_calls;
+    rec.stats.clauses_reused = r.clauses_reused;
+    rec.stats.frames = static_cast<std::size_t>(r.depth) + 1;
+    rec.stats.mark(tt::mc::Section::kProof);
     report.add(rec);
   }
 
@@ -227,7 +215,6 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   tt::BenchReport report("bench_unbounded_proofs");
   print_table(report);
-  const std::string path = report.write();
-  if (!path.empty()) std::printf("machine-readable results: %s\n", path.c_str());
+  report.write();
   return 0;
 }

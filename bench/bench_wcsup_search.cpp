@@ -65,7 +65,7 @@ void print_table(tt::BenchReport& report) {
       tt::BenchRecord rec;
       rec.experiment = tt::strfmt("wcsup/n%d/%s", n, faulty ? "faulty" : "fault_free");
       rec.engine = "sweep";
-      rec.seconds = secs;
+      rec.stats.seconds = secs;
       rec.verdict = tt::strfmt("w_sup=%d", bound);
       report.add(rec);
     }
@@ -83,7 +83,6 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   tt::BenchReport report("bench_wcsup_search");
   print_table(report);
-  const std::string path = report.write();
-  if (!path.empty()) std::printf("machine-readable results: %s\n", path.c_str());
+  report.write();
   return 0;
 }

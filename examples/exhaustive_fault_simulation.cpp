@@ -57,6 +57,7 @@
 #include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <sstream>
 #include <system_error>
 #include <stdexcept>
 #include <string>
@@ -202,50 +203,20 @@ int main(int argc, char** argv) {
               mc::to_string(result.engine_used), result.stats.threads,
               result.stats.states_per_sec(),
               result.stats.exhausted ? "" : "  [search truncated by limits]");
-  if (mc::is_proof_engine(result.engine_used)) {
-    // Machine-greppable proof line; the CI proof-smoke step asserts on the
-    // solver_calls / clauses_reused columns (one incremental solver per run,
-    // learned clauses carried across depth probes).
-    std::printf("proof: solver_calls=%zu clauses_reused=%zu frames=%zu "
-                "proof_obligations=%zu\n",
-                result.stats.solver_calls, result.stats.clauses_reused,
-                result.stats.frames, result.stats.proof_obligations);
-  }
-  if (result.engine_used == mc::EngineKind::kSymbolic) {
-    std::printf("bdd: peak_live=%zu gc_runs=%zu unique_hit=%.1f%% op_cache_hit=%.1f%%",
-                result.stats.bdd_peak_live_nodes, result.stats.bdd_gc_collections,
-                100.0 * result.stats.bdd_unique_hit_rate,
-                100.0 * result.stats.bdd_op_cache_hit_rate);
-    if (result.stats.bdd_iterations > 0) {
-      std::printf(" eg_iterations=%d", result.stats.bdd_iterations);
-    }
-    std::printf("\n");
-  }
-  if (opts.store.kind != mc::StoreKind::kShardedLocked &&
-      result.engine_used != mc::EngineKind::kSymbolic) {
-    // Machine-greppable store line; the CI store-smoke step asserts on the
-    // spill_bytes / spill_async_pages columns to prove an out-of-core run
-    // actually went through the write-behind pipeline.
-    std::printf("store: %s  cas_retries=%zu pages_compressed=%zu spill_bytes=%zu "
-                "bloom_negatives=%zu spill_async_pages=%zu spill_sync_waits=%zu\n",
-                mc::to_string(opts.store.kind), result.stats.cas_retries,
-                result.stats.pages_compressed, result.stats.spill_bytes,
-                result.stats.bloom_negatives, result.stats.spill_async_pages,
-                result.stats.spill_sync_waits);
-  }
-  if (result.engine_used == mc::EngineKind::kParallel && !core::is_invariant_lemma(lemma)) {
-    std::printf("owcty: trim_rounds=%zu residue_states=%zu\n", result.stats.trim_rounds,
-                result.stats.residue_states);
-  }
-  if (opts.reduction != mc::ReductionKind::kNone) {
-    std::printf("reduction: %s  canon_ops=%zu canon_swaps=%zu (quotient states above)\n",
-                mc::to_string(opts.reduction), result.stats.canon_ops,
-                result.stats.canon_swaps);
-    if (opts.reduction != mc::ReductionKind::kSymmetry) {
-      std::printf("por: ample_sets=%zu pruned_combos=%zu proviso_fallbacks=%zu\n",
-                  result.stats.ample_sets, result.stats.pruned_combos,
-                  result.stats.proviso_fallbacks);
-    }
+  // One machine-greppable `section: name=value ...` line per counter section
+  // the run carries (mc/run_stats.hpp); the CI proof-smoke and store-smoke
+  // steps assert on the proof and store lines.
+  for (const mc::Section section : mc::kSections) {
+    if (!result.stats.carries(section)) continue;
+    std::ostringstream line;
+    line << mc::to_string(section) << ':';
+    if (section == mc::Section::kStore) line << ' ' << mc::to_string(opts.store.kind) << ' ';
+    if (section == mc::Section::kReduction) line << ' ' << mc::to_string(opts.reduction) << ' ';
+    mc::for_each_counter(result.stats, [&](mc::Section s, const char* name, auto value) {
+      if (s == section) line << ' ' << name << '=' << value;
+    });
+    if (section == mc::Section::kReduction) line << " (quotient states above)";
+    std::printf("%s\n", line.str().c_str());
   }
 
   if (!result.holds && !result.trace.empty()) {

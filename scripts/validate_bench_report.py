@@ -1,57 +1,21 @@
 #!/usr/bin/env python3
 """Validate a ttstart-bench report file (BENCH_results.json).
 
-Accepts schema ttstart-bench-v8, the one the benches write and the
-committed report carries. It allows these optional per-record fields:
-- symbolic-engine runs: `iterations` (image/BFS steps to the fixpoint) and
-  `peak_live_nodes` (peak live BDD nodes);
-- parallel OWCTY liveness runs: `trim_rounds` (trimming sweeps to the
-  fixpoint) and `residue_states` (goal-free states left alive afterwards);
-- reductions: `reduction` ("none"/"sym"/"por"/"sym+por"), `canon_ops`
-  (canonicalization operations on the emission path), `orbit_states` (orbit
-  representatives stored by a reduced run), `reduction_ratio`
-  (states(unreduced)/states(reduced) when the paired baseline ran), and the
-  caveat flag `possibly_one_core` (true when a multi-threaded row may have
-  run on a single hardware core, so its speedup is not meaningful);
-- partial-order reduction (DESIGN.md 3.8): `ample_sets` (emissions whose
-  independence gate was open), `pruned_combos` (emissions redirected to the
-  clamped-horizon representative), and `proviso_fallbacks` (emissions
-  declined into full expansion);
-- explicit stores: `store` ("locked"/"lockfree"), `cas_retries` (failed slot
-  claims on the lock-free insert path), `spill_bytes` (compressed bytes
-  evicted out of core), and the out-of-core pipeline columns (DESIGN.md
-  3.9): `spill_sync_waits` (synchronous barriers the write-behind pipeline
-  had to take), `spill_async_pages` (sealed pages handed to the I/O thread
-  without blocking), and `resident_bytes` (store-resident footprint at run
-  end);
-- SAT proof engines (DESIGN.md 3.10): `solver_calls` (solve() invocations
-  on the run's single incremental solver — for bounded BMC exactly one per
-  depth probed), `clauses_reused` (learned clauses carried across those
-  calls), `frames` (IC3 frame count / k-induction unrolling depth), and
-  `proof_obligations` (IC3 obligation-queue pops).
-Optional numeric fields must be non-negative when present.
+Accepts schema ttstart-bench-v9, the one the benches write and the committed
+report carries. Besides the required run columns, a record may carry row
+metadata (METADATA_FIELDS) and the counter columns of each RunStats section
+its run carries (COUNTER_FIELDS, by section). The counters are defined, and
+documented, once: the TT_RUN_COUNTERS table in src/mc/run_stats.hpp. A
+tier-1 test (BenchReport.ValidatorColumnsMatchCounterTable) fails when this
+list drifts from that table. Numeric fields must be non-negative.
 
 Checks the envelope, the per-record field set and types, and basic value
-sanity (non-negative counts/times, verdict non-empty, threads >= 1). With
---require, additionally fails unless every named bench contributed at least
-one record — the CI bench-smoke job uses this to catch a bench binary that
-silently stopped reporting. With --require-engine (a single name or a comma
-list, repeatable), fails unless every named engine has at least one record —
-CI uses `--require-engine sym` so the symbolic leg cannot silently drop out
-of the comparison, and `--require-engine kind,ic3` so the proof engines
-cannot silently drop out of the unbounded-proofs bench. With
---require-engine-for SUBSTR:ENGINE, fails unless at least one record whose
-experiment name contains SUBSTR ran on ENGINE — CI uses
-`--require-engine-for liveness:par` so liveness checking cannot silently
-fall back off the parallel engine. With --require-reduction LIST (a comma
-list of reduction names, e.g. `sym,por,sym+por`), fails unless every named
-reduction has at least one record carrying its `canon_ops` and
-`orbit_states` columns (por/sym+por rows must additionally carry the
-`ample_sets`/`pruned_combos`/`proviso_fallbacks` columns) — CI uses this so
-neither the symmetry-quotient nor the partial-order-reduced rows can
-silently drop out of the sweep. With --require-store, fails unless at least
-one record carries the named `store` — CI uses `--require-store lockfree`
-so the lock-free store rows cannot silently drop out of the hot-path bench.
+sanity (non-negative counts/times, verdict non-empty, threads >= 1). The
+--require* flags (see --help) additionally fail unless the named benches,
+engines, experiment/engine pairs, reductions or stores contributed at least
+one record; CI uses them so no leg of the sweep can silently drop out. A
+reduced row counts for --require-reduction only if it carries `canon_ops`,
+and a por/sym+por row only if it also carries the por section's columns.
 
 Exit code 0 on success, 1 on any violation (all violations are listed).
 """
@@ -73,33 +37,35 @@ REQUIRED_FIELDS = {
     "verdict": str,
 }
 
-SCHEMA = "ttstart-bench-v8"
+SCHEMA = "ttstart-bench-v9"
 
-# Optional per-record fields; typed when present.
-OPTIONAL_FIELDS = {
-    "iterations": int,
-    "peak_live_nodes": int,
-    "trim_rounds": int,
-    "residue_states": int,
+METADATA_FIELDS = {
     "reduction": str,
-    "canon_ops": int,
-    "orbit_states": int,
     "reduction_ratio": (int, float),
     "possibly_one_core": bool,
     "store": str,
-    "cas_retries": int,
-    "spill_bytes": int,
-    "ample_sets": int,
-    "pruned_combos": int,
-    "proviso_fallbacks": int,
-    "spill_sync_waits": int,
-    "spill_async_pages": int,
     "resident_bytes": int,
-    "solver_calls": int,
-    "clauses_reused": int,
-    "frames": int,
-    "proof_obligations": int,
 }
+
+# The counter columns, by section, in src/mc/run_stats.hpp table order.
+COUNTER_FIELDS = {
+    name: (int, float) if name.endswith("_rate") else int
+    for name in (
+        "solver_calls clauses_reused frames proof_obligations "  # proof
+        "bdd_peak_live_nodes bdd_gc_collections bdd_unique_hit_rate "  # bdd
+        "bdd_op_cache_hit_rate bdd_iterations "
+        "cas_retries pages_compressed spill_bytes bloom_negatives "  # store
+        "spill_async_pages spill_sync_waits "
+        "trim_rounds residue_states "  # owcty
+        "canon_ops canon_swaps "  # reduction
+        "ample_sets pruned_combos proviso_fallbacks"  # por
+    ).split()
+}
+
+POR_FIELDS = ("ample_sets", "pruned_combos", "proviso_fallbacks")
+
+# Optional per-record fields; typed when present.
+OPTIONAL_FIELDS = {**METADATA_FIELDS, **COUNTER_FIELDS}
 
 REDUCTION_NAMES = ("none", "sym", "por", "sym+por")
 POR_REDUCTIONS = ("por", "sym+por")
@@ -130,25 +96,15 @@ def validate(doc, require, require_engines, require_engine_for, require_reductio
         if not isinstance(rec, dict):
             errors.append(f"{where}: not an object")
             continue
-        for field, ftype in REQUIRED_FIELDS.items():
+        for field, ftype in {**REQUIRED_FIELDS, **OPTIONAL_FIELDS}.items():
             if field not in rec:
-                errors.append(f"{where}: missing field '{field}'")
-            elif not isinstance(rec[field], ftype) or (
-                ftype is int and isinstance(rec[field], bool)
-            ):
-                errors.append(
-                    f"{where}: field '{field}' has type "
-                    f"{type(rec[field]).__name__}, expected {ftype}"
-                )
-        for field, ftype in OPTIONAL_FIELDS.items():
-            if field not in rec:
+                if field in REQUIRED_FIELDS:
+                    errors.append(f"{where}: missing field '{field}'")
                 continue
             v = rec[field]
-            if not isinstance(v, ftype) or (
-                ftype is not bool and isinstance(v, bool)
-            ):
+            if not isinstance(v, ftype) or (ftype is not bool and isinstance(v, bool)):
                 errors.append(
-                    f"{where}: optional field '{field}' has type "
+                    f"{where}: field '{field}' has type "
                     f"{type(v).__name__}, expected {ftype}"
                 )
             elif field == "reduction" and v not in REDUCTION_NAMES:
@@ -162,7 +118,7 @@ def validate(doc, require, require_engines, require_engine_for, require_reductio
                     f"expected one of {STORE_NAMES!r}"
                 )
             elif isinstance(v, (int, float)) and not isinstance(v, bool) and v < 0:
-                errors.append(f"{where}: optional field '{field}' < 0")
+                errors.append(f"{where} ({rec.get('experiment')}): {field} < 0")
         unknown = set(rec) - set(REQUIRED_FIELDS) - set(OPTIONAL_FIELDS)
         if unknown:
             errors.append(f"{where}: unknown field(s) {sorted(unknown)}")
@@ -175,10 +131,6 @@ def validate(doc, require, require_engines, require_engine_for, require_reductio
             exp = rec.get("experiment")
             if isinstance(rec.get("threads"), int) and rec["threads"] < 1:
                 errors.append(f"{where} ({exp}): threads < 1")
-            for field in ("states", "transitions", "seconds", "states_per_sec"):
-                v = rec.get(field)
-                if isinstance(v, (int, float)) and v < 0:
-                    errors.append(f"{where} ({exp}): {field} < 0")
             if rec.get("experiment") == "" or rec.get("verdict") == "":
                 errors.append(f"{where}: empty experiment or verdict")
         reduction = rec.get("reduction")
@@ -186,14 +138,12 @@ def validate(doc, require, require_engines, require_engine_for, require_reductio
             isinstance(reduction, str)
             and reduction != "none"
             and isinstance(rec.get("canon_ops"), int)
-            and isinstance(rec.get("orbit_states"), int)
         ):
             # por/sym+por rows only count as present when they carry the
             # partial-order columns too — a row that lost them would hide a
             # stats-plumbing regression.
             if reduction not in POR_REDUCTIONS or all(
-                isinstance(rec.get(f), int)
-                for f in ("ample_sets", "pruned_combos", "proviso_fallbacks")
+                isinstance(rec.get(f), int) for f in POR_FIELDS
             ):
                 seen_reductions.add(reduction)
         if isinstance(rec.get("store"), str):

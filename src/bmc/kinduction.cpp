@@ -68,7 +68,6 @@ ReachSweep reachability_sweep(const kernel::System& system, kernel::ExprId prope
     ++depth;
   }
   out.diameter = depth;
-  span.set_arg("depth", depth);
   span.set_arg("states", static_cast<int>(seen.size()));
   return out;
 }

@@ -2,6 +2,7 @@
 
 #include "bmc/ic3.hpp"
 #include "bmc/kinduction.hpp"
+#include "mc/explore.hpp"
 #include "mc/liveness.hpp"
 #include "mc/parallel_liveness.hpp"
 #include "mc/reachability.hpp"
@@ -29,17 +30,6 @@ tta::Reduction to_tta_reduction(mc::ReductionKind k) {
   return tta::Reduction::kNone;
 }
 
-/// Copies the reduction-layer counters off the cluster into a run's stats
-/// (the EngineOptions::finalize_stats hook for explicit engines; called
-/// directly after symbolic runs, which take bare limits).
-void annotate_reduction_stats(const tta::Cluster& cluster, mc::RunStats& stats) {
-  stats.canon_ops = cluster.canon_ops();
-  stats.canon_swaps = cluster.canon_swaps();
-  stats.ample_sets = cluster.ample_sets();
-  stats.pruned_combos = cluster.pruned_combos();
-  stats.proviso_fallbacks = cluster.proviso_fallbacks();
-}
-
 /// Post-run bookkeeping for a reduced run: when a counterexample over the
 /// quotient is attached, replays it into a concrete trace of the raw model
 /// (tta::concretize_trace) — under a "canon" span so the work shows up in
@@ -47,11 +37,6 @@ void annotate_reduction_stats(const tta::Cluster& cluster, mc::RunStats& stats) 
 void finish_reduced_run(const tta::Cluster& cluster, const tta::ClusterConfig& cfg,
                         bool has_loop, bool initial_root, VerificationResult& out) {
   obs::Span span("canon");
-  span.set_arg("canon_ops", static_cast<std::int64_t>(out.stats.canon_ops));
-  span.set_arg("canon_swaps", static_cast<std::int64_t>(out.stats.canon_swaps));
-  if (out.stats.pruned_combos > 0) {
-    span.set_arg("pruned_combos", static_cast<std::int64_t>(out.stats.pruned_combos));
-  }
   if (out.trace.empty()) return;
   span.set_detail("concretize");
   const tta::Cluster raw(cfg);
@@ -101,8 +86,10 @@ VerificationResult verify_with_proof_engine(const tta::ClusterConfig& cfg, Lemma
 
   out.holds = r.verdict == bmc::ProofVerdict::kProved;
   out.exhausted = r.verdict != bmc::ProofVerdict::kUnknown;
+  out.stats.exhausted = out.exhausted;
   out.stats.seconds = r.seconds;
   out.stats.threads = 1;
+  out.stats.mark(mc::Section::kProof);
   out.stats.solver_calls = static_cast<std::size_t>(r.solver_calls);
   out.stats.clauses_reused = static_cast<std::size_t>(r.clauses_reused);
   out.stats.frames = static_cast<std::size_t>(r.frames);
@@ -149,6 +136,16 @@ bool store_can_spill(Lemma lemma, const VerifyOptions& opts) {
 
 }  // namespace
 
+void annotate_reduction_stats(const tta::Cluster& cluster, mc::RunStats& stats) {
+  stats.canon_ops = cluster.canon_ops();
+  stats.canon_swaps = cluster.canon_swaps();
+  stats.ample_sets = cluster.ample_sets();
+  stats.pruned_combos = cluster.pruned_combos();
+  stats.proviso_fallbacks = cluster.proviso_fallbacks();
+  stats.mark(mc::Section::kReduction);
+  if (tta::reduction_has_por(cluster.reduction())) stats.mark(mc::Section::kPor);
+}
+
 tta::ClusterConfig prepare_config(tta::ClusterConfig cfg, Lemma lemma) {
   switch (lemma) {
     case Lemma::kSafety:
@@ -181,15 +178,17 @@ VerificationResult verify(const tta::ClusterConfig& raw_cfg, Lemma lemma,
   const tta::ClusterConfig cfg = prepare_config(raw_cfg, lemma);
   const bool reduced = opts.reduction != mc::ReductionKind::kNone;
   // Top-level span: one per verify() call, detail = lemma (static storage
-  // from to_string), so engine-level spans nest under it in the trace.
+  // from to_string), so engine-level spans nest under it in the trace. The
+  // run's counters are sampled into the trace (mc::trace_counters) before
+  // it closes.
   obs::Span verify_span("verify");
   verify_span.set_detail(to_string(lemma));
   verify_span.set_arg("n", cfg.n);
-  if (reduced) verify_span.set_arg("reduction", static_cast<int>(opts.reduction));
 
   if (mc::is_proof_engine(opts.engine)) {
-    verify_span.set_arg("engine", static_cast<int>(opts.engine));
-    return verify_with_proof_engine(cfg, lemma, opts);
+    VerificationResult out = verify_with_proof_engine(cfg, lemma, opts);
+    mc::trace_counters(out.stats);
+    return out;
   }
 
   const tta::Cluster cluster(cfg, to_tta_reduction(opts.reduction));
@@ -240,6 +239,7 @@ VerificationResult verify(const tta::ClusterConfig& raw_cfg, Lemma lemma,
       finish_reduced_run(cluster, cfg, r.verdict == mc::LivenessVerdict::kCycle,
                          initial_root, out);
     }
+    mc::trace_counters(out.stats);
     return out;
   }
 
@@ -285,6 +285,7 @@ VerificationResult verify(const tta::ClusterConfig& raw_cfg, Lemma lemma,
   if (reduced) {
     finish_reduced_run(cluster, cfg, /*has_loop=*/false, /*initial_root=*/true, out);
   }
+  mc::trace_counters(out.stats);
   return out;
 }
 

@@ -107,4 +107,9 @@ struct VerificationResult {
 /// asserts bound preconditions. Returns the adjusted copy.
 [[nodiscard]] tta::ClusterConfig prepare_config(tta::ClusterConfig cfg, Lemma lemma);
 
+/// Copies the reduction-layer counters off the cluster into a run's stats
+/// and marks the reduction section (and the por section when the reduction
+/// has a por component). verify() applies it to every reduced run.
+void annotate_reduction_stats(const tta::Cluster& cluster, mc::RunStats& stats);
+
 }  // namespace tt::core

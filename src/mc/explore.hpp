@@ -1,17 +1,46 @@
-// Store plumbing shared by the explicit-state engines (the frontier core and
-// the lasso DFS): applying the StoreOptions dials, the between-levels
-// maintenance step and copying a store's counters into RunStats. Each is a
-// no-op for a store without the corresponding hooks.
+// RunStats plumbing: sampling a run's counters into the Chrome trace, and the
+// store hooks shared by the explicit-state engines (the frontier core and the
+// lasso DFS): copying a store's counters into RunStats, applying the
+// StoreOptions dials and the between-levels maintenance step. Each store hook
+// is a no-op for a store without the corresponding member.
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 #include "mc/engine.hpp"
 #include "mc/run_stats.hpp"
 #include "obs/trace.hpp"
 
-namespace tt::mc::detail {
+namespace tt::mc {
+
+/// Samples each counter of the carried sections into the Chrome trace, as a
+/// counter track named after its RunStats member. No-op while tracing is off.
+inline void trace_counters(const RunStats& st) {
+  if (!obs::enabled()) return;
+  for_each_counter(st, [](Section, const char* name, auto value) {
+    obs::emit_counter(name, static_cast<double>(value));
+  });
+}
+
+/// Copies the store's cumulative counters into RunStats and marks the store
+/// section when the store keeps any (the lock-free store's cas_retries /
+/// compression / spill / Bloom columns and the out-of-core pipeline's
+/// async/sync-wait counters); a no-op for the locked store.
+template <class Map>
+void copy_store_stats(const Map& seen, RunStats& stats) {
+  if constexpr (requires { seen.store_stats(); }) {
+    const auto st = seen.store_stats();
+    stats.cas_retries = st.cas_retries;
+    stats.pages_compressed = st.pages_compressed;
+    stats.spill_bytes = st.spill_bytes;
+    stats.bloom_negatives = st.bloom_negatives;
+    stats.spill_sync_waits = st.spill_sync_waits;
+    stats.spill_async_pages = st.spill_async_pages;
+    stats.mark(Section::kStore);
+  }
+}
+
+namespace detail {
 
 /// Applies the StoreOptions dials a store supports; a no-op for stores
 /// without the corresponding hooks (ShardedStateIndexMap).
@@ -31,49 +60,24 @@ void apply_store_options(Map& seen, const StoreOptions& store) {
 /// set sealing, write-behind spill) inside an obs span when the store has
 /// one. Must be called from the coordinating thread at a quiescent point;
 /// `expected_new` is a headroom hint for the next level's fresh states.
-/// Emits the `store.spill_async` / `store.sync_wait` counter tracks so a
-/// trace shows when the pipeline went asynchronous vs. when it stalled.
+/// While tracing, samples the store section's counters after each step, so
+/// a trace shows when the write-behind went asynchronous and when it
+/// stalled (the spill_async_pages / spill_sync_waits tracks).
 template <class Map>
 void maintain_store(Map& seen, std::size_t expected_new) {
   if constexpr (requires { seen.quiescent_maintain(std::size_t{}); }) {
-    obs::Span span("store.maintain");
-    const auto ms = seen.quiescent_maintain(expected_new);
-    if (ms.pages_sealed != 0) {
-      span.set_arg("pages_sealed", static_cast<std::int64_t>(ms.pages_sealed));
+    {
+      obs::Span span("store.maintain");
+      (void)seen.quiescent_maintain(expected_new);
     }
-    if (ms.pages_spilled != 0) {
-      span.set_arg("pages_spilled", static_cast<std::int64_t>(ms.pages_spilled));
-      span.set_arg("bytes_spilled", static_cast<std::int64_t>(ms.bytes_spilled));
-    }
-    if constexpr (requires { ms.pages_enqueued; }) {
-      if (ms.pages_enqueued != 0) {
-        span.set_arg("spill_async_pages", static_cast<std::int64_t>(ms.pages_enqueued));
-        obs::emit_counter("store.spill_async", static_cast<double>(ms.pages_enqueued));
-      }
-      if (ms.sync_waits != 0) {
-        span.set_arg("spill_sync_waits", static_cast<std::int64_t>(ms.sync_waits));
-        obs::emit_counter("store.sync_wait", static_cast<double>(ms.sync_waits));
-      }
+    if (obs::enabled()) {
+      RunStats st;
+      copy_store_stats(seen, st);
+      trace_counters(st);
     }
   }
 }
 
-/// Copies the store's cumulative counters into RunStats when it keeps any
-/// (the lock-free store's cas_retries / compression / spill / Bloom columns
-/// and the out-of-core pipeline's async/sync-wait counters).
-template <class Map>
-void copy_store_stats(const Map& seen, RunStats& stats) {
-  if constexpr (requires { seen.store_stats(); }) {
-    const auto st = seen.store_stats();
-    stats.cas_retries = st.cas_retries;
-    stats.pages_compressed = st.pages_compressed;
-    stats.spill_bytes = st.spill_bytes;
-    stats.bloom_negatives = st.bloom_negatives;
-    if constexpr (requires { st.spill_async_pages; }) {
-      stats.spill_sync_waits = st.spill_sync_waits;
-      stats.spill_async_pages = st.spill_async_pages;
-    }
-  }
-}
+}  // namespace detail
 
-}  // namespace tt::mc::detail
+}  // namespace tt::mc

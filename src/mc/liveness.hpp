@@ -203,7 +203,7 @@ template <class Map, class TS, class Pred, class RootFn>
 
   result.stats.states = seen.size();
   result.stats.memory_bytes = seen.memory_bytes() + color.capacity() + cache.memory_bytes();
-  detail::copy_store_stats(seen, result.stats);
+  copy_store_stats(seen, result.stats);
   result.stats.seconds = timer.seconds();
   result.stats.exhausted = result.verdict != LivenessVerdict::kLimit;
   return result;

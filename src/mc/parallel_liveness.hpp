@@ -138,6 +138,7 @@ template <class Map, TransitionSystem TS, class Pred>
 
   obs::Span run_span("liveness.owcty");
   LivenessResult<TS> result;
+  result.stats.mark(Section::kOwcty);
   Hooks hooks{goal, roots_all_reachable};
   FrontierSearch<Map, TS, Hooks> search(ts, hooks, opts, result.stats);
   const Map& seen = search.seen();

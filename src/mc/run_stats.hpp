@@ -3,11 +3,29 @@
 // into the machine-readable BENCH_results.json.
 #pragma once
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
 namespace tt::mc {
+
+/// The reported groups of layer counters. A run carries a section when the
+/// layer that produces its counters ran, and that code marks it: the kind/ic3
+/// path of core::verify (proof), the symbolic engines (bdd),
+/// copy_store_stats (store), OWCTY (owcty), core::annotate_reduction_stats
+/// (reduction, and por when the reduction has a por component). Every
+/// report shows exactly the carried sections, in this order.
+enum class Section : std::uint8_t { kProof, kBdd, kStore, kOwcty, kReduction, kPor };
+inline constexpr std::array<Section, 6> kSections = {Section::kProof, Section::kBdd,
+                                                     Section::kStore, Section::kOwcty,
+                                                     Section::kReduction, Section::kPor};
+
+[[nodiscard]] constexpr const char* to_string(Section s) noexcept {
+  constexpr const char* kNames[] = {"proof", "bdd", "store", "owcty", "reduction", "por"};
+  return kNames[static_cast<std::size_t>(s)];
+}
 
 struct RunStats {
   std::size_t states = 0;        ///< distinct states interned
@@ -72,11 +90,11 @@ struct RunStats {
   /// writes still in flight.
   std::size_t spill_sync_waits = 0;
   std::size_t spill_async_pages = 0;
-  /// Proof-engine instrumentation (bench schema v8; zero for every
-  /// exploratory engine): `solver_calls` counts SAT solve() invocations on
-  /// the run's single incremental solver (for bounded BMC exactly one per
-  /// depth probed), `clauses_reused` the learned clauses carried across
-  /// those calls, `frames` the IC3 frame count / k-induction unrolling
+  /// Proof-engine instrumentation (zero for every exploratory engine):
+  /// `solver_calls` counts SAT solve() invocations on the run's single
+  /// incremental solver (for bounded BMC exactly one per depth probed),
+  /// `clauses_reused` the learned clauses carried across those calls,
+  /// `frames` the IC3 frame count / k-induction unrolling
   /// depth, and `proof_obligations` the IC3 obligation-queue pops (zero for
   /// k-induction).
   std::size_t solver_calls = 0;
@@ -92,11 +110,42 @@ struct RunStats {
   double bdd_unique_hit_rate = 0.0;
   double bdd_op_cache_hit_rate = 0.0;
   int bdd_iterations = 0;
+  std::uint8_t sections = 0;  ///< the carried sections, bit i = Section i
+
+  void mark(Section s) noexcept { sections |= static_cast<std::uint8_t>(1u << bit(s)); }
+  [[nodiscard]] bool carries(Section s) const noexcept { return (sections >> bit(s)) & 1u; }
 
   [[nodiscard]] double states_per_sec() const noexcept {
     return seconds > 0.0 ? static_cast<double>(states) / seconds : 0.0;
   }
+
+ private:
+  static constexpr unsigned bit(Section s) noexcept { return static_cast<unsigned>(s); }
 };
+
+/// The reported counters, each listed once as X(section, RunStats member),
+/// in Section order. A counter's name in the CLI, the bench row and the
+/// Chrome trace is its member name.
+#define TT_RUN_COUNTERS(X)                                                                \
+  X(kProof, solver_calls) X(kProof, clauses_reused) X(kProof, frames)                     \
+  X(kProof, proof_obligations)                                                            \
+  X(kBdd, bdd_peak_live_nodes) X(kBdd, bdd_gc_collections) X(kBdd, bdd_unique_hit_rate)   \
+  X(kBdd, bdd_op_cache_hit_rate) X(kBdd, bdd_iterations)                                  \
+  X(kStore, cas_retries) X(kStore, pages_compressed) X(kStore, spill_bytes)               \
+  X(kStore, bloom_negatives) X(kStore, spill_async_pages) X(kStore, spill_sync_waits)     \
+  X(kOwcty, trim_rounds) X(kOwcty, residue_states)                                        \
+  X(kReduction, canon_ops) X(kReduction, canon_swaps)                                     \
+  X(kPor, ample_sets) X(kPor, pruned_combos) X(kPor, proviso_fallbacks)
+
+/// Calls f(section, name, value) for each counter of every section `st`
+/// carries, in table order; `value` keeps the member's type.
+template <class F>
+void for_each_counter(const RunStats& st, F&& f) {
+#define TT_VISIT_COUNTER(section, member) \
+  if (st.carries(Section::section)) f(Section::section, #member, st.member);
+  TT_RUN_COUNTERS(TT_VISIT_COUNTER)
+#undef TT_VISIT_COUNTER
+}
 
 /// Resource bounds for a search; engines stop with Verdict::kLimit when hit.
 struct SearchLimits {

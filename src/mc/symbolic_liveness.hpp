@@ -76,6 +76,7 @@ template <TransitionSystem TS, class Pred>
   Timer timer;
   obs::Span run_span("liveness.symbolic");
   LivenessResult<TS> result;
+  result.stats.mark(Section::kBdd);
 
   const int bits = ts.state_bits();
   TT_ASSERT(bits >= 1 && static_cast<std::size_t>(bits) <= 64 * TS::kWords);

@@ -43,6 +43,7 @@ template <TransitionSystem TS, class Pred>
   Timer timer;
   obs::Span run_span("bfs.symbolic");
   InvariantResult<TS> result;
+  result.stats.mark(Section::kBdd);
 
   const int bits = ts.state_bits();
   bdd::Manager mgr(bits);

@@ -222,6 +222,8 @@ class Span {
 
   /// Attaches an integer argument (e.g. a depth or round number) rendered
   /// into the Chrome trace "args" object. Call any time before destruction.
+  /// A span holds one argument and a later call replaces it; a run's
+  /// counters go to the trace as counter samples (mc::trace_counters).
   void set_arg(const char* arg_name, std::int64_t value) noexcept {
     arg_name_ = arg_name;
     arg_ = value;

@@ -36,45 +36,25 @@ std::string json_escape(const std::string& s) {
 }
 
 std::string render_record(const std::string& bench, const BenchRecord& r) {
-  const double sps = r.seconds > 0.0 ? static_cast<double>(r.states) / r.seconds : 0.0;
+  const mc::RunStats& st = r.stats;
   std::ostringstream line;
   line << "    {\"bench\": \"" << json_escape(bench) << "\", \"experiment\": \""
        << json_escape(r.experiment) << "\", \"engine\": \"" << json_escape(r.engine)
-       << "\", \"threads\": " << r.threads << ", \"states\": " << r.states
-       << ", \"transitions\": " << r.transitions << ", \"seconds\": " << r.seconds
-       << ", \"states_per_sec\": " << sps << ", \"exhausted\": "
-       << (r.exhausted ? "true" : "false") << ", \"verdict\": \"" << json_escape(r.verdict)
+       << "\", \"threads\": " << st.threads << ", \"states\": " << st.states
+       << ", \"transitions\": " << st.transitions << ", \"seconds\": " << st.seconds
+       << ", \"states_per_sec\": " << st.states_per_sec() << ", \"exhausted\": "
+       << (st.exhausted ? "true" : "false") << ", \"verdict\": \"" << json_escape(r.verdict)
        << "\"";
-  // v2/v3/v4 optional columns, emitted only where meaningful (symbolic runs,
-  // parallel OWCTY liveness runs, symmetry-reduced runs).
-  if (r.iterations >= 0) line << ", \"iterations\": " << r.iterations;
-  if (r.peak_live_nodes >= 0) line << ", \"peak_live_nodes\": " << r.peak_live_nodes;
-  if (r.trim_rounds >= 0) line << ", \"trim_rounds\": " << r.trim_rounds;
-  if (r.residue_states >= 0) line << ", \"residue_states\": " << r.residue_states;
   if (!r.reduction.empty()) line << ", \"reduction\": \"" << json_escape(r.reduction) << "\"";
-  if (r.canon_ops >= 0) line << ", \"canon_ops\": " << r.canon_ops;
-  if (r.orbit_states >= 0) line << ", \"orbit_states\": " << r.orbit_states;
   if (r.reduction_ratio >= 0.0) line << ", \"reduction_ratio\": " << r.reduction_ratio;
   if (r.possibly_one_core >= 0) {
     line << ", \"possibly_one_core\": " << (r.possibly_one_core != 0 ? "true" : "false");
   }
-  // v5 optional columns (explicit-store runs).
   if (!r.store.empty()) line << ", \"store\": \"" << json_escape(r.store) << "\"";
-  if (r.cas_retries >= 0) line << ", \"cas_retries\": " << r.cas_retries;
-  if (r.spill_bytes >= 0) line << ", \"spill_bytes\": " << r.spill_bytes;
-  // v6 optional columns (partial-order-reduced runs).
-  if (r.ample_sets >= 0) line << ", \"ample_sets\": " << r.ample_sets;
-  if (r.pruned_combos >= 0) line << ", \"pruned_combos\": " << r.pruned_combos;
-  if (r.proviso_fallbacks >= 0) line << ", \"proviso_fallbacks\": " << r.proviso_fallbacks;
-  // v7 optional columns (out-of-core pipeline runs, DESIGN.md §3.9).
-  if (r.spill_sync_waits >= 0) line << ", \"spill_sync_waits\": " << r.spill_sync_waits;
-  if (r.spill_async_pages >= 0) line << ", \"spill_async_pages\": " << r.spill_async_pages;
   if (r.resident_bytes >= 0) line << ", \"resident_bytes\": " << r.resident_bytes;
-  // v8 optional columns (SAT proof-engine runs, DESIGN.md §3.10).
-  if (r.solver_calls >= 0) line << ", \"solver_calls\": " << r.solver_calls;
-  if (r.clauses_reused >= 0) line << ", \"clauses_reused\": " << r.clauses_reused;
-  if (r.frames >= 0) line << ", \"frames\": " << r.frames;
-  if (r.proof_obligations >= 0) line << ", \"proof_obligations\": " << r.proof_obligations;
+  mc::for_each_counter(st, [&](mc::Section, const char* name, auto value) {
+    line << ", \"" << name << "\": " << value;
+  });
   line << "}";
   return line.str();
 }
@@ -138,7 +118,7 @@ std::string BenchReport::write() {
     std::fprintf(stderr, "ttstart: cannot write %s\n", path.c_str());
     return {};
   }
-  out << "{\n  \"schema\": \"ttstart-bench-v8\",\n  \"results\": [\n";
+  out << "{\n  \"schema\": \"ttstart-bench-v9\",\n  \"results\": [\n";
   bool first = true;
   for (const std::string& rec : kept) {
     out << (first ? "    " : ",\n    ") << rec;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -247,6 +248,46 @@ TEST(ObsIntegrationTest, VerdictAndCountsUnchangedUnderTracing) {
   }
   EXPECT_TRUE(saw_verify);
   EXPECT_TRUE(saw_level);
+}
+
+// A traced run reports its counters as counter tracks named after their
+// RunStats members, with the run's final values, and the file still passes
+// scripts/validate_trace.py.
+TEST(ObsIntegrationTest, TracedSymPorRunReportsRunCounters) {
+  tt::tta::ClusterConfig cfg;
+  cfg.n = 3;
+  cfg.faulty_node = 0;
+  cfg.fault_degree = 6;
+  cfg.init_window = 3;
+  cfg.hub_init_window = 3;
+  tt::core::VerifyOptions opts;
+  opts.reduction = tt::mc::ReductionKind::kSymPor;
+
+  Tracer tracer;
+  tracer.install();
+  const auto r = tt::core::verify(cfg, tt::core::Lemma::kSafety, opts);
+  tracer.uninstall();
+  ASSERT_GT(r.stats.canon_ops, 0u);
+
+  const std::string path = ::testing::TempDir() + "trace_sym_por_counters.json";
+  ASSERT_TRUE(tt::obs::write_chrome_trace(tracer, path));
+  std::ifstream in(path);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  const std::string json = ss.str();
+  auto last_sample = [&](const std::string& name) {  // the run's final value
+    const auto at = json.rfind("\"name\": \"" + name + "\"");
+    const auto value = json.find("\"value\": ", at == std::string::npos ? json.size() : at);
+    return value == std::string::npos ? -1.0 : std::strtod(json.c_str() + value + 9, nullptr);
+  };
+  EXPECT_EQ(last_sample("canon_ops"), static_cast<double>(r.stats.canon_ops));
+  EXPECT_EQ(last_sample("canon_swaps"), static_cast<double>(r.stats.canon_swaps));
+  EXPECT_EQ(last_sample("pruned_combos"), static_cast<double>(r.stats.pruned_combos));
+
+  const std::string validate = "python3 " TTSTART_SOURCE_DIR
+                               "/scripts/validate_trace.py " + path + " > /dev/null";
+  EXPECT_EQ(std::system(validate.c_str()), 0);
+  std::remove(path.c_str());
 }
 
 }  // namespace

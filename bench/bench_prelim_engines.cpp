@@ -104,23 +104,13 @@ void print_table(tt::BenchReport& report) {
     tt::bdd::SymbolicEngine engine(model2.system());
     auto sym = engine.count_reachable();
     t.add_row({std::to_string(n), "3", "symbolic BDD", "count",
-               sym.reachable_exact.to_decimal(), tt::strfmt("%.3f", sym.seconds)});
+               sym.reachable_exact.to_decimal(), tt::strfmt("%.3f", sym.stats.seconds)});
     {
       tt::BenchRecord rec;
       rec.experiment = tt::strfmt("prelim/deg3/n%d", n);
       rec.engine = "sym";
       rec.verdict = "count";
-      rec.stats.states = sym.reachable_exact.fits_u64()
-                             ? static_cast<std::size_t>(sym.reachable_exact.to_u64())
-                             : static_cast<std::size_t>(sym.reachable_states);
-      rec.stats.seconds = sym.seconds;
-      // The kernel-level BDD engine reports in its own result type.
-      rec.stats.bdd_peak_live_nodes = sym.peak_nodes;
-      rec.stats.bdd_gc_collections = sym.gc_collections;
-      rec.stats.bdd_unique_hit_rate = sym.unique_hit_rate;
-      rec.stats.bdd_op_cache_hit_rate = sym.op_cache_hit_rate;
-      rec.stats.bdd_iterations = sym.iterations;
-      rec.stats.mark(tt::mc::Section::kBdd);
+      rec.stats = sym.stats;
       report.add(rec);
     }
 

@@ -40,8 +40,8 @@ int main(int argc, char** argv) {
   bdd::SymbolicEngine engine(model.system());
   auto sym = engine.check_invariant(model.safety_expr());
   std::printf("symbolic BDD : %-9s %8.0f states  %.3fs  (%d bdd vars, %zu nodes)\n",
-              sym.holds ? "holds" : "VIOLATED", sym.reachable_states, sym.seconds,
-              sym.bdd_vars, sym.peak_nodes);
+              sym.holds ? "holds" : "VIOLATED", sym.reachable_states, sym.stats.seconds,
+              sym.bdd_vars, sym.stats.bdd_peak_live_nodes);
 
   // 3. SAT-based bounded model checking.
   auto bmc = bmc::check_invariant_bounded(model.system(), model.safety_expr(), 40);

@@ -38,13 +38,14 @@
 //     --store <kind>        locked|lockfree explicit-state store backend
 //                           (default locked); lockfree is the CAS-based
 //                           store with closed-set compression and
-//                           write-behind spill (DESIGN.md §3.9)
+//                           write-behind spill (DESIGN.md §3.9). Only
+//                           seq/par/auto on invariant lemmas and par/auto
+//                           on liveness lemmas keep such a store; lockfree
+//                           anywhere else is a usage error (exit 2)
 //     --mem-budget-mb <mb>  in-RAM budget for the lockfree store: sealed
 //                           compressed pages past the budget spill to disk
 //                           asynchronously; counts and verdicts stay exact.
-//                           Only lockfree runs of seq/par/auto on invariant
-//                           lemmas and of par/auto on liveness lemmas can
-//                           spill; any other run with a budget is a usage
+//                           A budget without --store lockfree is a usage
 //                           error (exit 2)
 //     --spill-dir <path>    directory for the per-shard spill files
 //                           (default: TTSTART_SPILL_DIR, else TMPDIR, else

@@ -33,6 +33,12 @@ Four classes of drift this catches:
      in the docs that describe the current tree (CURRENT_TREE_DOCS): the
      changelog records past trees, PAPERS.md and SNIPPETS.md other repos.
 
+  5. Dead environment knobs — every TTSTART_* variable named in README.md,
+     DESIGN.md, EXPERIMENTS.md or benchmark/README.md must be read by some
+     code: quoted in a C++ or Python source (a getenv/setenv name) or named
+     in a CMake file. ROADMAP.md is exempt: it names things still to be
+     built.
+
 Usage: check_docs.py [REPO_ROOT]      (default: parent of this script)
 Exit code 0 when everything is consistent, 1 otherwise (all failures listed).
 """
@@ -214,6 +220,41 @@ def check_backticked_paths(root, failures):
                 fail(failures, f"{rel}: path `{path}` does not exist")
 
 
+KNOB_DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "benchmark/README.md")
+CODE_DIRS = ("src", "bench", "examples", "tests", "benchmark", "scripts")
+
+
+def knobs_read_by_code(root):
+    """TTSTART_* names the code reads: quoted in C++/Python, or in CMake."""
+    quoted = re.compile(r"[\"'](TTSTART_\w+)[\"']")
+    bare = re.compile(r"\bTTSTART_\w+")
+    this_script = os.path.abspath(__file__)
+    files = [os.path.join(root, "CMakeLists.txt")]
+    for top in CODE_DIRS:
+        for dirpath, _, filenames in os.walk(os.path.join(root, top)):
+            files += [os.path.join(dirpath, f) for f in filenames]
+    names = set()
+    for path in files:
+        name = os.path.basename(path)
+        if os.path.abspath(path) == this_script or not os.path.isfile(path):
+            continue
+        if name == "CMakeLists.txt" or name.endswith(".cmake"):
+            names.update(bare.findall(read(root, path)))
+        elif name.endswith((".cpp", ".hpp", ".h", ".py")):
+            names.update(quoted.findall(read(root, path)))
+    return names
+
+
+def check_env_knobs(root, failures):
+    read_by_code = knobs_read_by_code(root)
+    for rel in KNOB_DOCS:
+        if not os.path.exists(os.path.join(root, rel)):
+            continue
+        for name in sorted(set(re.findall(r"\bTTSTART_\w+", read(root, rel)))):
+            if name not in read_by_code:
+                fail(failures, f"{rel}: names {name}, but no code reads it")
+
+
 def main(argv):
     root = os.path.abspath(argv[1]) if len(argv) > 1 else \
         os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -224,6 +265,7 @@ def main(argv):
     check_design_sections(root, failures)
     check_markdown_links(root, failures)
     check_backticked_paths(root, failures)
+    check_env_knobs(root, failures)
     if failures:
         for f in failures:
             print(f"FAIL — {f}", file=sys.stderr)

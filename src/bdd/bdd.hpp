@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "mc/run_stats.hpp"
 #include "support/assert.hpp"
 #include "support/biguint.hpp"
 
@@ -46,7 +47,7 @@ using NodeId = std::uint32_t;
 constexpr NodeId kTrue = 0;
 constexpr NodeId kFalse = 1;
 
-/// Aggregate counters for the RunStats-style engine reports.
+/// Aggregate counters of one manager; copy_bdd_stats reports them.
 struct ManagerStats {
   std::size_t live_nodes = 0;       ///< currently reachable from roots
   std::size_t peak_live_nodes = 0;  ///< high-water mark of live_nodes
@@ -69,6 +70,17 @@ struct ManagerStats {
                : 0.0;
   }
 };
+
+/// Writes the bdd section of an engine's RunStats from `ms` and marks it;
+/// the one place ManagerStats meets the counter table. `bdd_iterations`
+/// stays the engine's to fill.
+inline void copy_bdd_stats(const ManagerStats& ms, mc::RunStats& stats) noexcept {
+  stats.bdd_peak_live_nodes = ms.peak_live_nodes;
+  stats.bdd_gc_collections = ms.gc_runs;
+  stats.bdd_unique_hit_rate = ms.unique_hit_rate();
+  stats.bdd_op_cache_hit_rate = ms.cache_hit_rate();
+  stats.mark(mc::Section::kBdd);
+}
 
 class Manager {
  public:

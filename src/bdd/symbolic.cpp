@@ -286,7 +286,7 @@ SymbolicResult SymbolicEngine::check_invariant(kernel::ExprId property) {
   NodeId frontier = init;
   manager_.ref(frontier);
   while (frontier != kFalse) {
-    ++out.iterations;
+    ++out.stats.bdd_iterations;
     const NodeId img = image(frontier);
     const NodeId new_frontier = manager_.land(img, manager_.lnot(reached));
     manager_.ref(new_frontier);
@@ -302,6 +302,9 @@ SymbolicResult SymbolicEngine::check_invariant(kernel::ExprId property) {
   out.reachable_exact =
       manager_.sat_count_exact(reached) >> static_cast<unsigned>(total_bits_);
   out.reachable_states = out.reachable_exact.to_double();
+  out.stats.states = out.reachable_exact.fits_u64()
+                         ? static_cast<std::size_t>(out.reachable_exact.to_u64())
+                         : std::numeric_limits<std::size_t>::max();
 
   if (property < 0) {
     out.holds = true;  // counting run: no property to check
@@ -313,17 +316,13 @@ SymbolicResult SymbolicEngine::check_invariant(kernel::ExprId property) {
     }
   }
 
-  const ManagerStats ms = manager_.stats();
-  out.peak_nodes = ms.peak_live_nodes;
-  out.gc_collections = ms.gc_runs;
-  out.unique_hit_rate = ms.unique_hit_rate();
-  out.op_cache_hit_rate = ms.cache_hit_rate();
+  copy_bdd_stats(manager_.stats(), out.stats);
 
   manager_.deref(frontier);
   manager_.deref(reached);
   manager_.deref(prop);
   manager_.deref(init);
-  out.seconds = timer.seconds();
+  out.stats.seconds = timer.seconds();
   return out;
 }
 

@@ -21,6 +21,7 @@
 
 #include "bdd/bdd.hpp"
 #include "kernel/system.hpp"
+#include "mc/run_stats.hpp"
 #include "support/biguint.hpp"
 
 namespace tt::bdd {
@@ -31,13 +32,11 @@ struct SymbolicResult {
   BigUint reachable_exact;
   /// Double rendering of reachable_exact (kept for report plumbing).
   double reachable_states = 0.0;
-  int iterations = 0;             ///< image steps to the fixpoint
-  std::size_t peak_nodes = 0;     ///< peak live BDD nodes (GC keeps this honest)
-  std::size_t gc_collections = 0; ///< mark-and-sweep runs during the fixpoint
-  double unique_hit_rate = 0.0;   ///< unique-table hit fraction
-  double op_cache_hit_rate = 0.0; ///< persistent op-cache hit fraction
-  int bdd_vars = 0;               ///< state bits x 2 (the paper's Fig. 6 column)
-  double seconds = 0.0;
+  int bdd_vars = 0;  ///< state bits x 2 (the paper's Fig. 6 column)
+  /// The run's report: states (reachable_exact, saturated at the size_t
+  /// maximum), seconds and the bdd section, which counts the image steps to
+  /// the fixpoint as bdd_iterations.
+  mc::RunStats stats;
   /// A violating state valuation (empty when the invariant holds).
   std::vector<int> violating_state;
 };

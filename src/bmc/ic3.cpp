@@ -1,5 +1,6 @@
 #include "bmc/ic3.hpp"
 
+#include <algorithm>
 #include <queue>
 #include <tuple>
 #include <unordered_set>
@@ -254,12 +255,12 @@ class Ic3 {
     while (!queue.empty()) {
       const auto [level, order, idx] = queue.top();
       queue.pop();
-      ++result_.proof_obligations;
-      if (result_.proof_obligations > options_.max_obligations) return Outcome::kCapped;
-      if ((result_.proof_obligations & 0xFF) == 0) {
+      ++result_.stats.proof_obligations;
+      if (result_.stats.proof_obligations > options_.max_obligations) return Outcome::kCapped;
+      if ((result_.stats.proof_obligations & 0xFF) == 0) {
         obs::progress_tick({.phase = "ic3",
                             .depth = top_level(),
-                            .round = static_cast<long long>(result_.proof_obligations)});
+                            .round = static_cast<long long>(result_.stats.proof_obligations)});
       }
 
       if (is_initial(pool[static_cast<std::size_t>(idx)].state)) {
@@ -295,11 +296,14 @@ class Ic3 {
   ProofResult finish(ProofVerdict verdict, int depth, const Timer& timer) {
     result_.verdict = verdict;
     result_.depth = depth;
-    result_.frames = static_cast<std::uint64_t>(top_level()) + 1;
-    result_.solver_calls = solver().stats().solve_calls;
-    result_.clauses_reused = solver().stats().clauses_reused;
-    result_.total_conflicts = solver().stats().conflicts;
-    result_.seconds = timer.seconds();
+    mc::RunStats& st = result_.stats;
+    st.frames = static_cast<std::size_t>(top_level()) + 1;
+    st.solver_calls = solver().stats().solve_calls;
+    st.clauses_reused = solver().stats().clauses_reused;
+    st.mark(mc::Section::kProof);
+    st.depth = std::max(depth, 0);
+    st.exhausted = verdict != ProofVerdict::kUnknown;
+    st.seconds = timer.seconds();
     return result_;
   }
 

@@ -1,9 +1,10 @@
 #include "bmc/kinduction.hpp"
 
-#include <unordered_set>
+#include <algorithm>
 
 #include "bmc/encoder.hpp"
 #include "kernel/packed_system.hpp"
+#include "mc/reachability.hpp"
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
 #include "support/timer.hpp"
@@ -12,64 +13,27 @@ namespace tt::bmc {
 
 namespace {
 
-struct StateHash {
-  std::size_t operator()(const kernel::PackedSystem::State& s) const noexcept {
-    std::uint64_t h = 0x9e3779b97f4a7c15ull;
-    for (const std::uint64_t w : s) {
-      h ^= w + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
-
-/// Result of the lazy explicit reachability sweep (the completeness
-/// threshold). Exactly one of the two fields is >= 0 unless the state
-/// budget ran out (then both are -1): `violation_depth` is the minimal BFS
-/// depth of a reachable property-violating state, `diameter` the BFS depth
-/// of the reachable graph when no such state exists.
-struct ReachSweep {
-  int diameter = -1;
-  int violation_depth = -1;
-};
-
-ReachSweep reachability_sweep(const kernel::System& system, kernel::ExprId property,
-                              std::size_t state_budget) {
+/// The lazy explicit reachability sweep (the completeness threshold) is the
+/// frontier core at one thread over the packed IR. BFS order makes a
+/// violation's depth the minimal violating depth; on kHolds the depth is the
+/// reachable graph's BFS depth; kLimit means the state budget ran out. The
+/// swept state count goes on the span only; the run's RunStats keeps
+/// counting SAT work alone.
+mc::InvariantResult<kernel::PackedSystem> reachability_sweep(const kernel::System& system,
+                                                             kernel::ExprId property,
+                                                             std::size_t state_budget) {
   obs::Span span("kind.diameter");
   const kernel::PackedSystem ps(system);
-  ReachSweep out;
-  const auto violates = [&](const kernel::PackedSystem::State& s) {
-    return system.exprs().eval(property, ps.unpack(s)) == 0;
-  };
-  std::unordered_set<kernel::PackedSystem::State, StateHash> seen;
-  std::vector<kernel::PackedSystem::State> frontier;
-  ps.initial_states([&](const kernel::PackedSystem::State& s) {
-    if (seen.insert(s).second) frontier.push_back(s);
-  });
-  int depth = 0;
-  std::vector<kernel::PackedSystem::State> next;
-  while (!frontier.empty()) {
-    // BFS order makes the first violating level the minimal violating
-    // depth; stopping there keeps violated runs cheap.
-    for (const auto& s : frontier) {
-      if (violates(s)) {
-        out.violation_depth = depth;
-        return out;
-      }
-    }
-    if (seen.size() > state_budget) return {};
-    next.clear();
-    for (const auto& s : frontier) {
-      ps.successors(s, [&](const kernel::PackedSystem::State& t) {
-        if (seen.insert(t).second) next.push_back(t);
-      });
-    }
-    if (next.empty()) break;
-    std::swap(frontier, next);
-    ++depth;
-  }
-  out.diameter = depth;
-  span.set_arg("states", static_cast<int>(seen.size()));
-  return out;
+  mc::SearchLimits limits;
+  limits.max_states = state_budget;
+  auto r = mc::check_invariant(
+      ps,
+      [&](const kernel::PackedSystem::State& s) {
+        return system.exprs().eval(property, ps.unpack(s)) != 0;
+      },
+      limits);
+  span.set_arg("states", static_cast<std::int64_t>(r.stats.states));
+  return r;
 }
 
 }  // namespace
@@ -88,20 +52,21 @@ ProofResult check_invariant_kind(const kernel::System& system, kernel::ExprId pr
   auto finish = [&](ProofVerdict verdict, int depth) {
     result.verdict = verdict;
     result.depth = depth;
-    result.solver_calls =
-        base.solver().stats().solve_calls + step.solver().stats().solve_calls;
-    result.clauses_reused =
+    mc::RunStats& st = result.stats;
+    st.solver_calls = base.solver().stats().solve_calls + step.solver().stats().solve_calls;
+    st.clauses_reused =
         base.solver().stats().clauses_reused + step.solver().stats().clauses_reused;
-    result.total_conflicts =
-        base.solver().stats().conflicts + step.solver().stats().conflicts;
-    result.seconds = timer.seconds();
+    st.mark(mc::Section::kProof);
+    st.depth = std::max(depth, 0);
+    st.exhausted = verdict != ProofVerdict::kUnknown;
+    st.seconds = timer.seconds();
     return result;
   };
 
   for (int k = 0; k <= options.max_k; ++k) {
     obs::Span depth_span("kind.depth");
     depth_span.set_arg("k", k);
-    result.frames = static_cast<std::uint64_t>(k) + 1;
+    result.stats.frames = static_cast<std::size_t>(k) + 1;
 
     // Base case: is P violated at depth exactly k? (Shallower depths were
     // already refuted, so the first SAT is a minimal counterexample.)
@@ -140,14 +105,14 @@ ProofResult check_invariant_kind(const kernel::System& system, kernel::ExprId pr
     if (!diameter_tried && k >= options.diameter_after_k &&
         options.diameter_state_budget > 0) {
       diameter_tried = true;
-      const ReachSweep sweep =
-          reachability_sweep(system, property, options.diameter_state_budget);
-      run_span.set_arg("diameter", sweep.diameter);
-      if (sweep.violation_depth >= 0) {
-        TT_ASSERT(sweep.violation_depth > k);  // depths <= k are refuted
-        for (int t = k + 1; t <= sweep.violation_depth; ++t) {
+      const auto sweep = reachability_sweep(system, property, options.diameter_state_budget);
+      const int sweep_depth = sweep.stats.depth;
+      run_span.set_arg("diameter", sweep.verdict == mc::Verdict::kHolds ? sweep_depth : -1);
+      if (sweep.verdict == mc::Verdict::kViolated) {
+        TT_ASSERT(sweep_depth > k);  // depths <= k are refuted
+        for (int t = k + 1; t <= sweep_depth; ++t) {
           base.ensure_frames(t + 1);
-          result.frames = static_cast<std::uint64_t>(t) + 1;
+          result.stats.frames = static_cast<std::size_t>(t) + 1;
           if (base.solver().solve({~base.bool_expr(property, t)}) == sat::Result::kSat) {
             result.trace.reserve(static_cast<std::size_t>(t) + 1);
             for (int f = 0; f <= t; ++f) result.trace.push_back(base.decode_frame(f));
@@ -157,9 +122,9 @@ ProofResult check_invariant_kind(const kernel::System& system, kernel::ExprId pr
         }
         TT_ASSERT(false && "explicit violation depth not reached by the base instance");
       }
-      if (sweep.diameter >= 0) {
+      if (sweep.verdict == mc::Verdict::kHolds) {
         result.via_diameter = true;
-        return finish(ProofVerdict::kProved, sweep.diameter);
+        return finish(ProofVerdict::kProved, sweep_depth);
       }
       // Budget ran out: pure induction is the only remaining route.
     }

@@ -4,8 +4,9 @@
 // failing to refute within a depth bound.
 #pragma once
 
-#include <cstdint>
 #include <vector>
+
+#include "mc/run_stats.hpp"
 
 namespace tt::bmc {
 
@@ -30,15 +31,13 @@ struct ProofResult {
   /// kViolated: depth of the counterexample (trace length - 1).
   int depth = -1;
   std::vector<std::vector<int>> trace;  ///< valuations, only for kViolated
-  std::uint64_t solver_calls = 0;       ///< SAT queries issued
-  std::uint64_t clauses_reused = 0;     ///< learned clauses carried across queries
-  std::uint64_t total_conflicts = 0;
-  std::uint64_t frames = 0;             ///< IC3 frame count / k-induction frames unrolled
-  std::uint64_t proof_obligations = 0;  ///< IC3 obligations processed (0 for k-induction)
   /// k-induction only: the proof was closed by the explicit reachability
   /// diameter (completeness threshold) rather than a pure inductive step.
   bool via_diameter = false;
-  double seconds = 0.0;
+  /// The run's report, filled by the engine: the proof section (marked),
+  /// depth (max(depth, 0), in IR steps), exhausted (verdict != kUnknown) and
+  /// seconds. states and transitions stay 0: no engine here interns states.
+  mc::RunStats stats;
 };
 
 }  // namespace tt::bmc

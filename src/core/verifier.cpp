@@ -85,18 +85,10 @@ VerificationResult verify_with_proof_engine(const tta::ClusterConfig& cfg, Lemma
   }
 
   out.holds = r.verdict == bmc::ProofVerdict::kProved;
-  out.exhausted = r.verdict != bmc::ProofVerdict::kUnknown;
-  out.stats.exhausted = out.exhausted;
-  out.stats.seconds = r.seconds;
-  out.stats.threads = 1;
-  out.stats.mark(mc::Section::kProof);
-  out.stats.solver_calls = static_cast<std::size_t>(r.solver_calls);
-  out.stats.clauses_reused = static_cast<std::size_t>(r.clauses_reused);
-  out.stats.frames = static_cast<std::size_t>(r.frames);
-  out.stats.proof_obligations = static_cast<std::size_t>(r.proof_obligations);
+  out.stats = std::move(r.stats);
+  out.exhausted = out.stats.exhausted;
   switch (r.verdict) {
     case bmc::ProofVerdict::kProved:
-      out.stats.depth = r.depth;
       out.verdict_text = "PROVED@" + std::to_string(r.depth) +
                          (r.via_diameter ? " (reachability diameter)" : "");
       break;
@@ -116,13 +108,12 @@ VerificationResult verify_with_proof_engine(const tta::ClusterConfig& cfg, Lemma
   return out;
 }
 
-/// True when the run interns into a store that can spill: the lock-free
-/// store behind the BFS engines (seq/par/auto) on an invariant lemma, or
-/// behind the OWCTY engine (par/auto) on a liveness lemma. The lasso DFS has
-/// no quiescent point to spill at; the symbolic and proof engines keep no
-/// explicit store.
-bool store_can_spill(Lemma lemma, const VerifyOptions& opts) {
-  if (opts.store.kind != mc::StoreKind::kLockFree) return false;
+/// True when the run interns into the frontier store that StoreOptions
+/// selects: the BFS (seq/par/auto) on an invariant lemma or OWCTY (par/auto)
+/// on a liveness lemma. The lasso DFS (seq on a liveness lemma) and the
+/// symbolic and proof engines keep no such store, so a store choice or a
+/// memory budget would change nothing there.
+bool uses_frontier_store(Lemma lemma, const VerifyOptions& opts) {
   switch (opts.engine) {
     case mc::EngineKind::kAuto:
     case mc::EngineKind::kParallel: return true;
@@ -172,9 +163,12 @@ tta::ClusterConfig prepare_config(tta::ClusterConfig cfg, Lemma lemma) {
 
 VerificationResult verify(const tta::ClusterConfig& raw_cfg, Lemma lemma,
                           const VerifyOptions& opts) {
-  TT_REQUIRE(opts.store.mem_budget_bytes == 0 || store_can_spill(lemma, opts),
-             "a memory budget needs --store lockfree on seq/par/auto for invariant "
-             "lemmas or on par/auto for liveness lemmas");
+  const bool lockfree = opts.store.kind == mc::StoreKind::kLockFree;
+  TT_REQUIRE(!lockfree || uses_frontier_store(lemma, opts),
+             "--store lockfree needs seq/par/auto on an invariant lemma or par/auto on a "
+             "liveness lemma; the other engines keep no explicit store");
+  TT_REQUIRE(opts.store.mem_budget_bytes == 0 || lockfree,
+             "a memory budget needs --store lockfree");
   const tta::ClusterConfig cfg = prepare_config(raw_cfg, lemma);
   const bool reduced = opts.reduction != mc::ReductionKind::kNone;
   // Top-level span: one per verify() call, detail = lemma (static storage

@@ -1,8 +1,8 @@
 // RunStats plumbing: sampling a run's counters into the Chrome trace, and the
-// store hooks shared by the explicit-state engines (the frontier core and the
-// lasso DFS): copying a store's counters into RunStats, applying the
-// StoreOptions dials and the between-levels maintenance step. Each store hook
-// is a no-op for a store without the corresponding member.
+// store hooks of the frontier core: copying a store's counters into
+// RunStats, applying the StoreOptions dials and the between-levels
+// maintenance step. Each store hook is a no-op for a store without the
+// corresponding member.
 #pragma once
 
 #include <string>

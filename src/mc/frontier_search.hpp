@@ -273,9 +273,6 @@ class FrontierSearch {
         pool_(threads_) {
     stats_.threads = threads_;
     apply_store_options(seen_, opts.store);
-    if (opts.limits.states_bounded()) {
-      seen_.reserve(opts.limits.max_states + opts.limits.max_states / 8 + kFrontierShards);
-    }
   }
 
   /// Seeds the initial states, then explores level by level until the

@@ -18,11 +18,10 @@
 #include <vector>
 
 #include "mc/engine.hpp"
-#include "mc/explore.hpp"
 #include "mc/run_stats.hpp"
 #include "mc/transition_system.hpp"
 #include "obs/trace.hpp"
-#include "support/lockfree_state_index_map.hpp"
+#include "support/hash.hpp"
 #include "support/recent_cache.hpp"
 #include "support/sharded_state_index_map.hpp"
 #include "support/timer.hpp"
@@ -58,6 +57,10 @@ struct LivenessResult {
 
 namespace detail {
 
+/// The DFS's store: one shard, so ids are dense (`color` is indexed by them).
+template <class TS>
+using LassoMap = ShardedStateIndexMap<TS::kWords>;
+
 /// Hash-once intern of `s` through a recently-seen cache in front of a
 /// single-threaded store: one hash_words per candidate, verified cache hits
 /// never reach the store. Counts into `stats`' hash/cache/duplicate columns.
@@ -83,13 +86,7 @@ std::pair<std::uint32_t, bool> cached_intern(Map& seen, RecentSeenCache& cache,
 /// AG AF(goal). `expected_states` pre-sizes the interning table (callers
 /// that already materialized the reachable set pass its size, so the DFS
 /// never rehashes from default capacity).
-///
-/// `Map` must assign dense ids (`color` is indexed by them): a one-shard
-/// ShardedStateIndexMap or LockFreeStateIndexMap. The DFS has no quiescent
-/// points, so the lock-free store runs in its raw (uncompressed, unspilled)
-/// tier — the sealing/spill machinery only engages in the level-synchronous
-/// BFS engines.
-template <class Map, class TS, class Pred, class RootFn>
+template <class TS, class Pred, class RootFn>
 [[nodiscard]] LivenessResult<TS> lasso_search(const TS& ts, Pred&& goal, RootFn&& for_each_root,
                                               const SearchLimits& limits,
                                               std::size_t expected_states = 0) {
@@ -99,7 +96,7 @@ template <class Map, class TS, class Pred, class RootFn>
   Timer timer;
   obs::Span run_span("liveness.lasso");
   LivenessResult<TS> result;
-  Map seen;                // interns goal-free states only
+  LassoMap<TS> seen;       // interns goal-free states only
   RecentSeenCache cache;   // duplicate suppression in front of `seen`
   std::vector<std::uint8_t> color;  // parallel to `seen`
   if (expected_states == 0 && limits.states_bounded()) {
@@ -203,7 +200,6 @@ template <class Map, class TS, class Pred, class RootFn>
 
   result.stats.states = seen.size();
   result.stats.memory_bytes = seen.memory_bytes() + color.capacity() + cache.memory_bytes();
-  copy_store_stats(seen, result.stats);
   result.stats.seconds = timer.seconds();
   result.stats.exhausted = result.verdict != LivenessVerdict::kLimit;
   return result;
@@ -216,28 +212,18 @@ template <class Map, class TS, class Pred, class RootFn>
 template <TransitionSystem TS, class Pred>
 [[nodiscard]] LivenessResult<TS> check_eventually(const TS& ts, Pred&& goal,
                                                   const SearchLimits& limits = {}) {
-  return detail::lasso_search<ShardedStateIndexMap<TS::kWords>>(
+  return detail::lasso_search(
       ts, goal, [&](auto&& visit) { ts.initial_states(visit); }, limits);
 }
 
-/// Store-dispatching F(goal): the DFS explores in the identical order under
-/// either store (dense ids, serial inserts), so results are bit-identical.
+/// AG AF(goal): from *every reachable state*, every behaviour eventually
+/// reaches a goal state again. Strictly stronger than F(goal): it also
+/// covers recovery after the goal was already reached once — the property
+/// the restart/reintegration experiments need (a transient fault knocks a
+/// node out of the synchronous set; the set must always pull it back).
 template <TransitionSystem TS, class Pred>
-[[nodiscard]] LivenessResult<TS> check_eventually_store(const TS& ts, Pred&& goal,
-                                                        const SearchLimits& limits,
-                                                        const StoreOptions& store) {
-  if (store.kind == StoreKind::kLockFree) {
-    return detail::lasso_search<LockFreeStateIndexMap<TS::kWords>>(
-        ts, goal, [&](auto&& visit) { ts.initial_states(visit); }, limits);
-  }
-  return check_eventually(ts, std::forward<Pred>(goal), limits);
-}
-
-namespace detail {
-
-template <class Map, TransitionSystem TS, class Pred>
-[[nodiscard]] LivenessResult<TS> check_always_eventually_impl(const TS& ts, Pred&& goal,
-                                                              const SearchLimits& limits) {
+[[nodiscard]] LivenessResult<TS> check_always_eventually(const TS& ts, Pred&& goal,
+                                                         const SearchLimits& limits = {}) {
   using State = typename TS::State;
   // Materialize the reachable set first; its states are the lasso roots.
   // The store assigns dense ids in insertion order, so id order is BFS
@@ -246,10 +232,10 @@ template <class Map, TransitionSystem TS, class Pred>
   bool truncated = false;
   RunStats walk;
   {
-    Map seen;
+    detail::LassoMap<TS> seen;
     RecentSeenCache cache;
     if (limits.states_bounded()) seen.reserve(limits.max_states + limits.max_states / 8 + 1);
-    auto visit = [&](const State& s) { cached_intern(seen, cache, s, walk); };
+    auto visit = [&](const State& s) { detail::cached_intern(seen, cache, s, walk); };
     ts.initial_states(visit);
     for (std::uint32_t head = 0; head < seen.size(); ++head) {
       if (seen.size() > limits.max_states) {
@@ -269,7 +255,7 @@ template <class Map, TransitionSystem TS, class Pred>
     limited.stats.exhausted = false;
     return limited;
   }
-  auto result = detail::lasso_search<Map>(
+  auto result = detail::lasso_search(
       ts, goal,
       [&](auto&& visit) {
         for (const State& s : reachable) visit(s);
@@ -280,32 +266,6 @@ template <class Map, TransitionSystem TS, class Pred>
   result.stats.cache_hits += walk.cache_hits;
   result.stats.dup_transitions += walk.dup_transitions;
   return result;
-}
-
-}  // namespace detail
-
-/// AG AF(goal): from *every reachable state*, every behaviour eventually
-/// reaches a goal state again. Strictly stronger than F(goal): it also
-/// covers recovery after the goal was already reached once — the property
-/// the restart/reintegration experiments need (a transient fault knocks a
-/// node out of the synchronous set; the set must always pull it back).
-template <TransitionSystem TS, class Pred>
-[[nodiscard]] LivenessResult<TS> check_always_eventually(const TS& ts, Pred&& goal,
-                                                         const SearchLimits& limits = {}) {
-  return detail::check_always_eventually_impl<ShardedStateIndexMap<TS::kWords>>(
-      ts, std::forward<Pred>(goal), limits);
-}
-
-/// Store-dispatching AG AF(goal); bit-identical results across stores.
-template <TransitionSystem TS, class Pred>
-[[nodiscard]] LivenessResult<TS> check_always_eventually_store(const TS& ts, Pred&& goal,
-                                                               const SearchLimits& limits,
-                                                               const StoreOptions& store) {
-  if (store.kind == StoreKind::kLockFree) {
-    return detail::check_always_eventually_impl<LockFreeStateIndexMap<TS::kWords>>(
-        ts, std::forward<Pred>(goal), limits);
-  }
-  return check_always_eventually(ts, std::forward<Pred>(goal), limits);
 }
 
 }  // namespace tt::mc

@@ -371,7 +371,7 @@ template <TransitionSystem TS, class Pred>
                                                        const EngineOptions& opts = {}) {
   TT_ASSERT(kind != EngineKind::kSymbolic);
   auto r = kind == EngineKind::kSequential
-               ? check_eventually_store(ts, std::forward<Pred>(goal), opts.limits, opts.store)
+               ? check_eventually(ts, std::forward<Pred>(goal), opts.limits)
                : check_eventually_parallel(ts, std::forward<Pred>(goal), opts);
   if (opts.finalize_stats) opts.finalize_stats(r.stats);
   return r;
@@ -383,8 +383,7 @@ template <TransitionSystem TS, class Pred>
                                                               const EngineOptions& opts = {}) {
   TT_ASSERT(kind != EngineKind::kSymbolic);
   auto r = kind == EngineKind::kSequential
-               ? check_always_eventually_store(ts, std::forward<Pred>(goal), opts.limits,
-                                               opts.store)
+               ? check_always_eventually(ts, std::forward<Pred>(goal), opts.limits)
                : check_always_eventually_parallel(ts, std::forward<Pred>(goal), opts);
   if (opts.finalize_stats) opts.finalize_stats(r.stats);
   return r;

@@ -82,6 +82,9 @@ template <class Map, TransitionSystem TS, class Pred>
   if (search.witness() != Map::kEmpty) {
     result.verdict = Verdict::kViolated;
     result.trace = search.trace_to(search.witness());
+    // The search stops in the level that expanded the witness's parent; the
+    // run's depth is the witness's own level.
+    result.stats.depth = static_cast<int>(result.trace.size()) - 1;
   } else {
     result.verdict = search.limit_hit() ? Verdict::kLimit : Verdict::kHolds;
   }

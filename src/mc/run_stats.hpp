@@ -12,11 +12,11 @@
 namespace tt::mc {
 
 /// The reported groups of layer counters. A run carries a section when the
-/// layer that produces its counters ran, and that code marks it: the kind/ic3
-/// path of core::verify (proof), the symbolic engines (bdd),
-/// copy_store_stats (store), OWCTY (owcty), core::annotate_reduction_stats
-/// (reduction, and por when the reduction has a por component). Every
-/// report shows exactly the carried sections, in this order.
+/// layer that produces its counters ran, and that code marks it: the kind
+/// and ic3 engines (proof), bdd::copy_bdd_stats (bdd), copy_store_stats
+/// (store), OWCTY (owcty), core::annotate_reduction_stats (reduction, and
+/// por when the reduction has a por component). Every report shows exactly
+/// the carried sections, in this order.
 enum class Section : std::uint8_t { kProof, kBdd, kStore, kOwcty, kReduction, kPor };
 inline constexpr std::array<Section, 6> kSections = {Section::kProof, Section::kBdd,
                                                      Section::kStore, Section::kOwcty,
@@ -30,7 +30,9 @@ inline constexpr std::array<Section, 6> kSections = {Section::kProof, Section::k
 struct RunStats {
   std::size_t states = 0;        ///< distinct states interned
   std::size_t transitions = 0;   ///< transitions enumerated
-  int depth = 0;                 ///< max BFS depth / DFS stack depth reached
+  /// BFS depth reached (on a violated invariant: the violating state's
+  /// depth, the trace length - 1) / max DFS stack depth.
+  int depth = 0;
   double seconds = 0.0;          ///< wall-clock time of the run
   std::size_t memory_bytes = 0;  ///< state store footprint
   /// False when a search limit stopped exploration before the frontier

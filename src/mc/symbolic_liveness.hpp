@@ -76,7 +76,6 @@ template <TransitionSystem TS, class Pred>
   Timer timer;
   obs::Span run_span("liveness.symbolic");
   LivenessResult<TS> result;
-  result.stats.mark(Section::kBdd);
 
   const int bits = ts.state_bits();
   TT_ASSERT(bits >= 1 && static_cast<std::size_t>(bits) <= 64 * TS::kWords);
@@ -328,10 +327,7 @@ template <TransitionSystem TS, class Pred>
   const bdd::ManagerStats ms = mgr.stats();
   result.stats.memory_bytes = ms.memory_bytes + queue.size() * sizeof(State) +
                               parent.size() * sizeof(std::uint32_t);
-  result.stats.bdd_peak_live_nodes = ms.peak_live_nodes;
-  result.stats.bdd_gc_collections = ms.gc_runs;
-  result.stats.bdd_unique_hit_rate = ms.unique_hit_rate();
-  result.stats.bdd_op_cache_hit_rate = ms.cache_hit_rate();
+  bdd::copy_bdd_stats(ms, result.stats);
   result.stats.seconds = timer.seconds();
   result.stats.exhausted = result.verdict != LivenessVerdict::kLimit;
 

@@ -43,7 +43,6 @@ template <TransitionSystem TS, class Pred>
   Timer timer;
   obs::Span run_span("bfs.symbolic");
   InvariantResult<TS> result;
-  result.stats.mark(Section::kBdd);
 
   const int bits = ts.state_bits();
   bdd::Manager mgr(bits);
@@ -120,10 +119,7 @@ template <TransitionSystem TS, class Pred>
   const bdd::ManagerStats ms = mgr.stats();
   result.stats.memory_bytes = ms.memory_bytes + queue.size() * sizeof(State) +
                               parent.size() * sizeof(std::uint32_t);
-  result.stats.bdd_peak_live_nodes = ms.peak_live_nodes;
-  result.stats.bdd_gc_collections = ms.gc_runs;
-  result.stats.bdd_unique_hit_rate = ms.unique_hit_rate();
-  result.stats.bdd_op_cache_hit_rate = ms.cache_hit_rate();
+  bdd::copy_bdd_stats(ms, result.stats);
   result.stats.bdd_iterations = depth;
   result.stats.seconds = timer.seconds();
 
@@ -133,6 +129,7 @@ template <TransitionSystem TS, class Pred>
       result.trace.push_back(queue[i]);
     }
     std::reverse(result.trace.begin(), result.trace.end());
+    result.stats.depth = static_cast<int>(result.trace.size()) - 1;  // the witness's level
   } else if (head < queue.size()) {
     result.verdict = Verdict::kLimit;
   } else {

@@ -19,8 +19,8 @@
 // Capacity: 0xffffffff is reserved as the empty marker, so a shard holds at
 // most 2^(32 - log2 S) - 1 states. Exceeding that (or a lower cap passed at
 // construction) throws StateCapacityError rather than corrupting the table;
-// engines with a finite SearchLimits::max_states call reserve() up front so
-// the cap is hit before memory is exhausted.
+// the engines check a finite SearchLimits::max_states separately, between
+// BFS levels or DFS expansions.
 //
 // Thread-safety contract (owner-exclusive shards):
 //   * insert()/insert_serial() — the same unlocked insert under two names

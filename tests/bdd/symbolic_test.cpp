@@ -27,7 +27,7 @@ TEST(Symbolic, CountsCounterStates) {
   auto r = engine.count_reachable();
   EXPECT_DOUBLE_EQ(r.reachable_states, 10.0);
   EXPECT_TRUE(r.holds);
-  EXPECT_GT(r.iterations, 0);
+  EXPECT_GT(r.stats.bdd_iterations, 0);
 }
 
 TEST(Symbolic, InvariantOnCounter) {

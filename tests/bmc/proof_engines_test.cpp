@@ -71,7 +71,7 @@ TEST(KInduction, ProvesSaturatingInvariantByPureInduction) {
   EXPECT_EQ(r.verdict, ProofVerdict::kProved);
   EXPECT_FALSE(r.via_diameter);
   EXPECT_LE(r.depth, 2);
-  EXPECT_GT(r.solver_calls, 0u);
+  EXPECT_GT(r.stats.solver_calls, 0u);
 }
 
 TEST(KInduction, RefutesAtExactMinimalDepth) {
@@ -115,8 +115,8 @@ TEST(Ic3, ProvesSaturatingInvariantWithConvergedFrames) {
   const kernel::ExprId never3 = e.lnot(e.eq_const(e.var(0), 3));
   auto r = check_invariant_ic3(s, never3);
   EXPECT_EQ(r.verdict, ProofVerdict::kProved);
-  EXPECT_GE(r.frames, 2u);  // convergence needs at least F_0, F_1
-  EXPECT_GT(r.solver_calls, 0u);
+  EXPECT_GE(r.stats.frames, 2u);  // convergence needs at least F_0, F_1
+  EXPECT_GT(r.stats.solver_calls, 0u);
 }
 
 TEST(Ic3, RefutesCounterWithConcreteTrace) {
@@ -150,7 +150,7 @@ TEST(Ic3, ProvesChainInvariantWithoutDiameterCrutch) {
   const kernel::ExprId never6 = e.lnot(e.eq_const(e.var(0), 6));
   auto r = check_invariant_ic3(s, never6);
   EXPECT_EQ(r.verdict, ProofVerdict::kProved);
-  EXPECT_GT(r.proof_obligations, 0u);
+  EXPECT_GT(r.stats.proof_obligations, 0u);
 }
 
 TEST(ProofEngines, AgreeWithExplicitSearchOnTtaLite) {

@@ -327,30 +327,40 @@ VerificationResult run_store(const GridCell& cell, mc::EngineKind engine, int th
 TEST(EngineEquivalenceStore, MemoryBudgetNeedsARunThatCanSpill) {
   // Only the lock-free store spills, and only at the quiescent points of the
   // BFS engines (seq/par on invariants) and of OWCTY (par on liveness). A
-  // budget on any other run would be ignored, so verify() rejects it.
+  // budget on any other run would be ignored, and so would --store lockfree
+  // on the lasso DFS and the symbolic and proof engines, which keep no
+  // frontier store: verify() rejects both.
   struct Shape {
     const char* name;
     mc::EngineKind engine;
     mc::StoreKind store;
     Lemma lemma;
+    std::size_t budget;
     bool accepted;
   };
+  constexpr auto kLocked = mc::StoreKind::kShardedLocked;
+  constexpr auto kLockFree = mc::StoreKind::kLockFree;
   const Shape shapes[] = {
-      {"locked", mc::EngineKind::kParallel, mc::StoreKind::kShardedLocked, Lemma::kSafety, false},
-      {"seq-liveness", mc::EngineKind::kSequential, mc::StoreKind::kLockFree, Lemma::kLiveness,
+      {"locked", mc::EngineKind::kParallel, kLocked, Lemma::kSafety, 1, false},
+      {"seq-liveness", mc::EngineKind::kSequential, kLockFree, Lemma::kLiveness, 1, false},
+      {"sym", mc::EngineKind::kSymbolic, kLockFree, Lemma::kSafety, 1, false},
+      {"kind", mc::EngineKind::kKInduction, kLockFree, Lemma::kSafety, 1, false},
+      {"seq-liveness-nobudget", mc::EngineKind::kSequential, kLockFree, Lemma::kLiveness, 0,
        false},
-      {"sym", mc::EngineKind::kSymbolic, mc::StoreKind::kLockFree, Lemma::kSafety, false},
-      {"kind", mc::EngineKind::kKInduction, mc::StoreKind::kLockFree, Lemma::kSafety, false},
-      {"seq-safety", mc::EngineKind::kSequential, mc::StoreKind::kLockFree, Lemma::kSafety, true},
-      {"par-liveness", mc::EngineKind::kParallel, mc::StoreKind::kLockFree, Lemma::kLiveness,
-       true},
+      {"sym-nobudget", mc::EngineKind::kSymbolic, kLockFree, Lemma::kSafety, 0, false},
+      {"sym-liveness-nobudget", mc::EngineKind::kSymbolic, kLockFree, Lemma::kLiveness, 0,
+       false},
+      {"kind-nobudget", mc::EngineKind::kKInduction, kLockFree, Lemma::kSafety, 0, false},
+      {"ic3-nobudget", mc::EngineKind::kIc3, kLockFree, Lemma::kSafety, 0, false},
+      {"seq-safety", mc::EngineKind::kSequential, kLockFree, Lemma::kSafety, 1, true},
+      {"par-liveness", mc::EngineKind::kParallel, kLockFree, Lemma::kLiveness, 1, true},
   };
   for (const Shape& sh : shapes) {
     const GridCell cell{3, 2, true, sh.lemma};
     if (sh.accepted) {
-      EXPECT_NO_THROW((void)run_store(cell, sh.engine, 2, sh.store, /*budget=*/1)) << sh.name;
+      EXPECT_NO_THROW((void)run_store(cell, sh.engine, 2, sh.store, sh.budget)) << sh.name;
     } else {
-      EXPECT_THROW((void)run_store(cell, sh.engine, 2, sh.store, /*budget=*/1),
+      EXPECT_THROW((void)run_store(cell, sh.engine, 2, sh.store, sh.budget),
                    std::invalid_argument)
           << sh.name;
     }

@@ -143,23 +143,26 @@ TEST_P(GoldenCounts, ExactAcrossEnginesAndThreadCounts) {
 TEST_P(GoldenCounts, LockFreeStoreReproducesGoldenCountsExactly) {
   // The store swap must be invisible against the pinned golden counts:
   // same states, transitions and hash-ops (hash-once survives the store) on
-  // the sequential engine and the parallel engine at 1/2/4 threads.
+  // the parallel engine at 1/2/4 threads, and on the sequential engine for
+  // the invariant cells (seq on liveness is the lasso DFS, which keeps no
+  // frontier store and rejects --store lockfree).
   const GoldenCell& cell = GetParam();
   const tta::ClusterConfig cfg = cell.lemma == Lemma::kSafety && cell.degree == 6
                                      ? fig6_config(cell.n)
                                      : fig4_config(cell.degree, cell.lemma);
 
-  VerifyOptions seq_opts;
-  seq_opts.engine = mc::EngineKind::kSequential;
-  seq_opts.store.kind = mc::StoreKind::kLockFree;
-  const auto seq = verify(cfg, cell.lemma, seq_opts);
-  ASSERT_TRUE(seq.holds) << cell.name << ": " << seq.verdict_text;
-  EXPECT_EQ(seq.stats.states, cell.states) << cell.name;
-  EXPECT_EQ(seq.stats.transitions, cell.transitions) << cell.name;
   if (cell.lemma != Lemma::kLiveness) {
+    VerifyOptions seq_opts;
+    seq_opts.engine = mc::EngineKind::kSequential;
+    seq_opts.store.kind = mc::StoreKind::kLockFree;
+    const auto seq = verify(cfg, cell.lemma, seq_opts);
+    ASSERT_TRUE(seq.holds) << cell.name << ": " << seq.verdict_text;
+    EXPECT_EQ(seq.stats.states, cell.states) << cell.name;
+    EXPECT_EQ(seq.stats.transitions, cell.transitions) << cell.name;
     expect_hash_once(seq, std::string(cell.name) + "/lockfree_seq");
   }
 
+  std::size_t hash_ops_at_1 = 0;
   for (int threads : {1, 2, 4}) {
     VerifyOptions par_opts;
     par_opts.engine = mc::EngineKind::kParallel;
@@ -171,7 +174,8 @@ TEST_P(GoldenCounts, LockFreeStoreReproducesGoldenCountsExactly) {
     ASSERT_TRUE(par.holds) << label << ": " << par.verdict_text;
     EXPECT_EQ(par.stats.states, cell.states) << label;
     EXPECT_EQ(par.stats.transitions, cell.transitions) << label;
-    EXPECT_EQ(par.stats.hash_ops, seq.stats.hash_ops) << label;
+    if (threads == 1) hash_ops_at_1 = par.stats.hash_ops;
+    EXPECT_EQ(par.stats.hash_ops, hash_ops_at_1) << label;
   }
 }
 

@@ -8,6 +8,7 @@
 #include <tuple>
 
 #include "core/verifier.hpp"
+#include "tta/properties.hpp"
 
 namespace tt::core {
 namespace {
@@ -112,6 +113,68 @@ TEST_P(FaultyHubGrid, LivenessBoundaryUnderFaultyHub) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, FaultyHubGrid, ::testing::Values(3, 4));
+
+// The wake-up-window boundary of Lemma 1 under a degree-6 faulty node: safety
+// holds up to a window of 2n+2 slots and fails from 2n+3 on, well below the
+// paper's δ_init of 8 rounds. Pinned as it stands so the finding cannot
+// vanish silently; every violation must replay through the raw cluster.
+struct WindowCell {
+  int n;
+  int window;
+  std::size_t states;       ///< holds-cells: exact reachable count
+  std::size_t transitions;  ///< holds-cells: exact transition count
+  int depth;                ///< violated cells: counterexample depth; -1 = holds
+};
+
+std::string window_cell_name(const ::testing::TestParamInfo<WindowCell>& info) {
+  return "n" + std::to_string(info.param.n) + "_w" + std::to_string(info.param.window) +
+         (info.param.depth < 0 ? "_holds" : "_violated");
+}
+
+class SafetyWindowBoundary : public ::testing::TestWithParam<WindowCell> {};
+
+TEST_P(SafetyWindowBoundary, SeqVerdictCountsAndReplay) {
+  const WindowCell& cell = GetParam();
+  tta::ClusterConfig cfg;
+  cfg.n = cell.n;
+  cfg.faulty_node = 0;
+  cfg.fault_degree = 6;
+  cfg.init_window = cell.window;
+  cfg.hub_init_window = cell.window;
+  VerifyOptions opts;
+  opts.engine = mc::EngineKind::kSequential;
+  const auto r = verify(cfg, Lemma::kSafety, opts);
+  ASSERT_TRUE(r.exhausted);
+  if (cell.depth < 0) {
+    EXPECT_TRUE(r.holds) << r.verdict_text;
+    EXPECT_EQ(r.stats.states, cell.states);
+    EXPECT_EQ(r.stats.transitions, cell.transitions);
+    return;
+  }
+  ASSERT_FALSE(r.holds);
+  ASSERT_EQ(r.trace.size(), static_cast<std::size_t>(cell.depth) + 1);
+  EXPECT_EQ(r.stats.depth, cell.depth);
+
+  const tta::ClusterConfig pcfg = prepare_config(cfg, Lemma::kSafety);
+  const tta::Cluster raw(pcfg);
+  bool initial = false;
+  raw.initial_states([&](const tta::Cluster::State& s) { initial |= s == r.trace.front(); });
+  EXPECT_TRUE(initial) << "trace must start in an initial state";
+  for (std::size_t i = 0; i + 1 < r.trace.size(); ++i) {
+    bool connected = false;
+    raw.successors(r.trace[i], [&](const tta::Cluster::State& s) { connected |= s == r.trace[i + 1]; });
+    EXPECT_TRUE(connected) << "step " << i << " does not replay";
+  }
+  EXPECT_FALSE(tta::holds_safety(pcfg, raw.unpack(r.trace.back())))
+      << "final state must violate safety";
+}
+
+INSTANTIATE_TEST_SUITE_P(Fig6Degree6, SafetyWindowBoundary,
+                         ::testing::Values(WindowCell{3, 8, 5'103, 269'672, -1},
+                                           WindowCell{3, 9, 0, 0, 10},
+                                           WindowCell{4, 10, 87'643, 7'314'756, -1},
+                                           WindowCell{4, 11, 0, 0, 12}),
+                         window_cell_name);
 
 TEST(BigBangGrid, CliqueDepthStrictlyLaterWithBigBang) {
   // The §5.2 result in regression form: under a faulty guardian the earliest

@@ -11,6 +11,7 @@
 
 #include "mc/frontier_search.hpp"
 #include "mc/parallel_liveness.hpp"
+#include "mc/symbolic_reachability.hpp"
 #include "toy_system.hpp"
 
 namespace tt::mc {
@@ -47,16 +48,22 @@ TEST(ParallelReachability, InvariantHoldsOnChain) {
 
 TEST(ParallelReachability, ShortestCounterexample) {
   // Diamond: BFS must report the 2-edge path to the bad state, not the
-  // 3-edge one, at every thread count.
+  // 3-edge one, at every thread count. The run's depth is the bad state's
+  // level, on the symbolic engine too.
   ToySystem ts({0}, {{1, 2}, {3}, {4}, {3}, {3}});
+  const auto not3 = [](const ToySystem::State& s) { return s[0] != 3; };
   for (int t : {1, 2, 4}) {
-    auto r = check_invariant_parallel(
-        ts, [](const ToySystem::State& s) { return s[0] != 3; }, with_threads(t));
+    auto r = check_invariant_parallel(ts, not3, with_threads(t));
     ASSERT_EQ(r.verdict, Verdict::kViolated) << "threads=" << t;
     ASSERT_EQ(r.trace.size(), 3u);
     EXPECT_EQ(r.trace.front()[0], 0u);
     EXPECT_EQ(r.trace.back()[0], 3u);
+    EXPECT_EQ(r.stats.depth, 2) << "threads=" << t;
   }
+  auto sym = check_invariant_symbolic(ts, not3);
+  ASSERT_EQ(sym.verdict, Verdict::kViolated);
+  ASSERT_EQ(sym.trace.size(), 3u);
+  EXPECT_EQ(sym.stats.depth, 2);
 }
 
 TEST(ParallelReachability, ViolationInInitialState) {

@@ -57,7 +57,7 @@ tt::tta::ClusterConfig hotpath_config(int n) {
 /// assigns dense ids in insertion order, so it is its own BFS queue.
 std::vector<State> reachable_states(const tt::tta::Cluster& cluster) {
   tt::ShardedStateIndexMap<kW> seen;
-  auto visit = [&](const State& s) { seen.insert_serial(s, tt::hash_words(s)); };
+  auto visit = [&](const State& s) { seen.insert(s, tt::hash_words(s)); };
   cluster.initial_states(visit);
   for (std::uint32_t head = 0; head < seen.size(); ++head) {
     const State s = seen.at(head);
@@ -171,38 +171,27 @@ BENCHMARK(BM_InternSharded)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 void BM_InternLockFree(benchmark::State& state) {
   const tt::tta::Cluster cluster(hotpath_config(4));
   const auto stream = candidate_stream(cluster, reachable_states(cluster), 500000);
-  const bool concurrent = state.range(0) != 0;
   for (auto _ : state) {
     tt::LockFreeStateIndexMap<kW> map;
-    // The concurrent insert path never grows the probe table (growth happens
-    // only at quiescent points); a pure-insert loop has none, so pre-size.
-    if (concurrent) map.reserve(stream.size());
     std::uint64_t acc = 0;
-    for (const State& s : stream) {
-      const std::uint64_t h = tt::hash_words(s);
-      auto [idx, fresh] = concurrent ? map.insert(s, h) : map.insert_serial(s, h);
-      acc += idx;
-    }
+    for (const State& s : stream) acc += map.insert(s, tt::hash_words(s)).first;
     benchmark::DoNotOptimize(acc);
   }
   state.counters["candidates"] =
       benchmark::Counter(static_cast<double>(stream.size()) * state.iterations(),
                          benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_InternLockFree)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_InternLockFree)->Unit(benchmark::kMillisecond);
 
 /// EXP-HOT contended stage: k threads intern the fig6 candidate stream into
-/// one shared 16-shard store. The `locked` rows replay a drain phase's real
-/// traffic: thread w owns the shards s with s % k == w and interns, in
+/// one shared 16-shard store, replaying a drain phase's real traffic for
+/// both stores: thread w owns the shards s with s % k == w and interns, in
 /// stream order, only the stream entries of its shards, so no two threads
-/// ever write one shard. The `lockfree` rows split the stream into
-/// contiguous slices instead; duplicates recur across slices, so threads
-/// collide on the same probe sequences: the case its CAS claims exist for.
-/// Pure insert throughput, no barriers, no maintenance.
+/// ever write one shard. Pure insert throughput, no barriers, no
+/// maintenance.
 void contended_stage(tt::BenchReport& report, const std::vector<State>& stream) {
   std::printf("=== contended insert: owner-sharded locked vs lockfree ===\n");
-  tt::TextTable t({"store", "traffic", "threads", "items", "seconds", "items/sec",
-                   "CAS retries"});
+  tt::TextTable t({"store", "threads", "items", "seconds", "items/sec"});
   const unsigned hw = std::thread::hardware_concurrency();
   // One probed source for the one-core caveat (ROADMAP item 2): on a runner
   // that may effectively have a single CPU, multi-thread contended rows are
@@ -235,13 +224,10 @@ void contended_stage(tt::BenchReport& report, const std::vector<State>& stream) 
   };
 
   for (const unsigned k : counts) {
-    std::vector<std::vector<std::uint32_t>> owned(k), slices(k);
-    const std::size_t slice = (stream.size() + k - 1) / k;
+    std::vector<std::vector<std::uint32_t>> owned(k);
     const tt::ShardedStateIndexMap<kW> router(16);
     for (std::size_t i = 0; i < stream.size(); ++i) {
-      const auto pos = static_cast<std::uint32_t>(i);
-      owned[router.shard_of(hashes[i]) % k].push_back(pos);
-      slices[i / slice].push_back(pos);
+      owned[router.shard_of(hashes[i]) % k].push_back(static_cast<std::uint32_t>(i));
     }
     for (const bool lockfree : {false, true}) {
       tt::BenchRecord rec;
@@ -252,13 +238,11 @@ void contended_stage(tt::BenchReport& report, const std::vector<State>& stream) 
       if (k > 1) rec.possibly_one_core = tt::probe_possibly_one_core();
       rec.stats.threads = static_cast<int>(k);
       rec.stats.transitions = stream.size();
-      // Both stores run the production shard count and an identical pre-size
-      // (concurrent lockfree inserts never grow; see BM_InternLockFree).
+      // Both stores run the production shard count and an identical pre-size.
       if (lockfree) {
         tt::LockFreeStateIndexMap<kW> map(16);
         map.reserve(stream.size());
-        rec.stats.seconds = run(map, slices);
-        tt::mc::copy_store_stats(map, rec.stats);
+        rec.stats.seconds = run(map, owned);
       } else {
         tt::ShardedStateIndexMap<kW> map(16);
         map.reserve(stream.size());
@@ -266,12 +250,10 @@ void contended_stage(tt::BenchReport& report, const std::vector<State>& stream) 
       }
       report.add(rec);
       const double seconds = rec.stats.seconds;
-      t.add_row({rec.store, lockfree ? "slices" : "owner", std::to_string(k),
-                 std::to_string(stream.size()),
+      t.add_row({rec.store, std::to_string(k), std::to_string(stream.size()),
                  tt::strfmt("%.4f", seconds),
                  tt::strfmt("%.0f",
-                            seconds > 0 ? static_cast<double>(stream.size()) / seconds : 0),
-                 lockfree ? std::to_string(rec.stats.cas_retries) : "-"});
+                            seconds > 0 ? static_cast<double>(stream.size()) / seconds : 0)});
     }
   }
   std::printf("%s", t.render().c_str());
@@ -312,9 +294,9 @@ void maintain_pause_stage(tt::BenchReport& report, const std::vector<State>& uni
     std::size_t i = 0;
     while (i < uniq.size()) {
       const std::size_t end = std::min(i + kChunk, uniq.size());
-      for (; i < end; ++i) map.insert_serial(uniq[i], tt::hash_words(uniq[i]));
+      for (; i < end; ++i) map.insert(uniq[i], tt::hash_words(uniq[i]));
       tt::Timer timer;
-      (void)map.quiescent_maintain();
+      map.quiescent_maintain();
       const double s = timer.seconds();
       total += s;
       max_pause = std::max(max_pause, s);
@@ -372,16 +354,16 @@ void resident_bytes_stage(tt::BenchReport& report, const std::vector<State>& uni
   };
   {
     tt::ShardedStateIndexMap<kW> map(1);
-    for (const State& s : uniq) map.insert_serial(s, tt::hash_words(s));
+    for (const State& s : uniq) map.insert(s, tt::hash_words(s));
     emit("locked", map.memory_bytes());
   }
   {
     tt::LockFreeStateIndexMap<kW> map(1);
-    for (const State& s : uniq) map.insert_serial(s, tt::hash_words(s));
+    for (const State& s : uniq) map.insert(s, tt::hash_words(s));
     // First maintain publishes the quiescent watermark; the second seals
     // every full page below it.
-    (void)map.quiescent_maintain();
-    (void)map.quiescent_maintain();
+    map.quiescent_maintain();
+    map.quiescent_maintain();
     emit("lockfree", map.memory_bytes());
   }
   std::printf("%s", t.render().c_str());
@@ -445,7 +427,7 @@ void emit_report(tt::BenchReport& report) {
             acc += hint;
             continue;
           }
-          auto [idx, fresh] = map.insert_serial(s, h);
+          auto [idx, fresh] = map.insert(s, h);
           cache.remember(h, idx);
           acc += idx;
         }
@@ -454,25 +436,11 @@ void emit_report(tt::BenchReport& report) {
   add("hotpath/intern/sharded_serial", "seq", stream.size(), timed([&] {
         tt::ShardedStateIndexMap<kW> map;
         std::uint64_t acc = 0;
-        for (const State& s : stream) acc += map.insert_serial(s, tt::hash_words(s)).first;
-        return acc;
-      }));
-  add("hotpath/intern/sharded_locked", "par", stream.size(), timed([&] {
-        tt::ShardedStateIndexMap<kW> map;
-        std::uint64_t acc = 0;
         for (const State& s : stream) acc += map.insert(s, tt::hash_words(s)).first;
         return acc;
       }));
   add("hotpath/intern/lockfree_serial", "seq", stream.size(), timed([&] {
         tt::LockFreeStateIndexMap<kW> map;
-        std::uint64_t acc = 0;
-        for (const State& s : stream) acc += map.insert_serial(s, tt::hash_words(s)).first;
-        return acc;
-      }),
-      "lockfree");
-  add("hotpath/intern/lockfree", "par", stream.size(), timed([&] {
-        tt::LockFreeStateIndexMap<kW> map;
-        map.reserve(stream.size());  // concurrent inserts never grow the table
         std::uint64_t acc = 0;
         for (const State& s : stream) acc += map.insert(s, tt::hash_words(s)).first;
         return acc;

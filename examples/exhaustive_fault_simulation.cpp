@@ -36,9 +36,9 @@
 //                           on one; default or 0: TTSTART_THREADS env, else
 //                           all cores)
 //     --store <kind>        locked|lockfree explicit-state store backend
-//                           (default locked); lockfree is the CAS-based
-//                           store with closed-set compression and
-//                           write-behind spill (DESIGN.md §3.9). Only
+//                           (default locked); lockfree adds closed-set
+//                           compression and write-behind spill to the
+//                           same owner-sharded inserts (DESIGN.md §3.9). Only
 //                           seq/par/auto on invariant lemmas and par/auto
 //                           on liveness lemmas keep such a store; lockfree
 //                           anywhere else is a usage error (exit 2)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Validate a ttstart-bench report file (BENCH_results.json).
 
-Accepts schema ttstart-bench-v9, the one the benches write and the committed
+Accepts schema ttstart-bench-v10, the one the benches write and the committed
 report carries. Besides the required run columns, a record may carry row
 metadata (METADATA_FIELDS) and the counter columns of each RunStats section
 its run carries (COUNTER_FIELDS, by section). The counters are defined, and
@@ -37,7 +37,7 @@ REQUIRED_FIELDS = {
     "verdict": str,
 }
 
-SCHEMA = "ttstart-bench-v9"
+SCHEMA = "ttstart-bench-v10"
 
 METADATA_FIELDS = {
     "reduction": str,
@@ -54,7 +54,7 @@ COUNTER_FIELDS = {
         "solver_calls clauses_reused frames proof_obligations "  # proof
         "bdd_peak_live_nodes bdd_gc_collections bdd_unique_hit_rate "  # bdd
         "bdd_op_cache_hit_rate bdd_iterations "
-        "cas_retries pages_compressed spill_bytes bloom_negatives "  # store
+        "pages_compressed spill_bytes bloom_negatives "  # store
         "spill_async_pages spill_sync_waits "
         "trim_rounds residue_states "  # owcty
         "canon_ops canon_swaps "  # reduction

@@ -75,8 +75,8 @@ struct VerifyOptions {
   /// returning it, so traces replay edge-by-edge either way.
   mc::ReductionKind reduction = mc::ReductionKind::kNone;
   /// Explicit-state storage backend (DESIGN.md §3.7). kShardedLocked is the
-  /// owner-sharded store (one writer per shard, no lock); kLockFree is the
-  /// CAS-based store that also compresses sealed BFS levels and, with
+  /// owner-sharded store (one writer per shard, no lock); kLockFree has the
+  /// same insert contract and also compresses sealed BFS levels and, with
   /// store.mem_budget_bytes set, spills them to disk so beyond-RAM runs
   /// complete with exact counts.
   /// Ignored by the symbolic engine. A nonzero budget on a run that cannot

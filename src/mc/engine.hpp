@@ -112,10 +112,11 @@ enum class ReductionKind {
 
 /// Which state-store implementation backs the explicit-state engines.
 /// kShardedLocked is the owner-sharded ShardedStateIndexMap (no lock: each
-/// shard has one writer at a time); kLockFree is the CAS-claim LockFreeStateIndexMap
-/// with delta compression of the closed set and the write-behind out-of-core
-/// spill tier (DESIGN.md §3.9). Both encode ids identically, so verdicts,
-/// counts and traces are bit-identical between them at any thread count.
+/// shard has one writer at a time); kLockFree is LockFreeStateIndexMap, with
+/// the same insert contract plus delta compression of the closed set and the
+/// write-behind out-of-core spill tier (DESIGN.md §3.9). Both encode ids
+/// identically, so verdicts, counts and traces are bit-identical between
+/// them at any thread count.
 enum class StoreKind {
   kShardedLocked,
   kLockFree,

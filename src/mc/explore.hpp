@@ -23,14 +23,13 @@ inline void trace_counters(const RunStats& st) {
 }
 
 /// Copies the store's cumulative counters into RunStats and marks the store
-/// section when the store keeps any (the lock-free store's cas_retries /
-/// compression / spill / Bloom columns and the out-of-core pipeline's
-/// async/sync-wait counters); a no-op for the locked store.
+/// section when the store keeps any (the lock-free store's compression /
+/// spill / Bloom columns and the out-of-core pipeline's async/sync-wait
+/// counters); a no-op for the locked store.
 template <class Map>
 void copy_store_stats(const Map& seen, RunStats& stats) {
   if constexpr (requires { seen.store_stats(); }) {
     const auto st = seen.store_stats();
-    stats.cas_retries = st.cas_retries;
     stats.pages_compressed = st.pages_compressed;
     stats.spill_bytes = st.spill_bytes;
     stats.bloom_negatives = st.bloom_negatives;
@@ -68,7 +67,7 @@ void maintain_store(Map& seen, std::size_t expected_new) {
   if constexpr (requires { seen.quiescent_maintain(std::size_t{}); }) {
     {
       obs::Span span("store.maintain");
-      (void)seen.quiescent_maintain(expected_new);
+      seen.quiescent_maintain(expected_new);
     }
     if (obs::enabled()) {
       RunStats st;

@@ -11,7 +11,7 @@
 //   expand: worker threads claim chunks of the frontier (atomic counter),
 //           enumerate successors, hash each candidate exactly once, kill
 //           duplicates against a per-thread recently-seen cache and then the
-//           sharded store (lock-free find — the store is frozen during this
+//           sharded store (a plain find — the store is frozen during this
 //           phase) and route surviving (state, parent, hash) candidates into
 //           per-chunk, per-shard buffers.
 //   drain:  worker threads claim whole shards; the owner of shard s walks the
@@ -81,7 +81,7 @@ inline constexpr unsigned kFrontierShards = 16;
 /// Runs `f.template operator()<Map>()` with the 16-shard store the options
 /// select. Both stores assign identical (shard, local) ids in the same order,
 /// so verdicts, counts and traces do not depend on the choice; only the
-/// storage internals (CAS inserts, compression, spill) do.
+/// storage internals (compression, spill) do.
 template <std::size_t W, class F>
 decltype(auto) with_frontier_store(const StoreOptions& store, F&& f) {
   if (store.kind == StoreKind::kLockFree) {
@@ -380,7 +380,7 @@ class FrontierSearch {
       Tag tag{};
       if (!hooks_.admit(s, tag)) return;
       ++c.hash_ops;
-      const auto [id, is_new] = seen_.insert_serial(s, hash_words(s));
+      const auto [id, is_new] = seen_.insert(s, hash_words(s));
       const unsigned sh = seen_.shard_of_id(id);
       if (is_new) {
         lists_[sh].parent.push_back(kNone);
@@ -479,7 +479,7 @@ class FrontierSearch {
     for (auto& l : lists_) l.fresh.clear();
     for (const std::uint32_t from : frontier_) {
       expand_state(c, from, [&](const State& t, std::uint64_t h, const Tag& tag) {
-        const auto [id, is_new] = seen_.insert_serial(t, h);
+        const auto [id, is_new] = seen_.insert(t, h);
         c.cache.remember(h, id);
         if (!is_new) {
           ++c.dups;
@@ -515,8 +515,8 @@ class FrontierSearch {
     if (frontier_.empty()) return true;  // reachable set exhausted
     stats_.frontier_sizes.push_back(frontier_.size());
     // The store is quiescent between drain and the next expand: seal closed
-    // pages, spill past the budget, grow the probe tables with headroom for
-    // the coming level (so the lock-free insert path never grows mid-phase).
+    // pages, spill past the budget, grow the probe tables and the Bloom
+    // filter with headroom for the coming level.
     maintain_store(seen_, frontier_.size() * 16);
     if (opts_.progress) {
       opts_.progress(LevelProgress{depth_ + 1, seen_.size(), stats_.transitions,

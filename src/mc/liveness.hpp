@@ -75,7 +75,7 @@ std::pair<std::uint32_t, bool> cached_intern(Map& seen, RecentSeenCache& cache,
     ++stats.dup_transitions;
     return {hint, false};
   }
-  const auto [id, fresh] = seen.insert_serial(s, h);
+  const auto [id, fresh] = seen.insert(s, h);
   cache.remember(h, id);
   if (!fresh) ++stats.dup_transitions;
   return {id, fresh};

@@ -75,13 +75,14 @@ struct RunStats {
   std::size_t ample_sets = 0;
   std::size_t pruned_combos = 0;
   std::size_t proviso_fallbacks = 0;
+  /// Always zero and not in TT_RUN_COUNTERS. Kept only because
+  /// benchmark/ttbench.cpp, its only reader, writes it as a column.
+  std::size_t cas_retries = 0;
   /// Lock-free store instrumentation (zero under the locked store):
-  /// `cas_retries` counts failed slot claims plus claimed-slot spins on the
-  /// insert path, `pages_compressed` the arena pages sealed to delta form,
+  /// `pages_compressed` counts the arena pages sealed to delta form,
   /// `spill_bytes` the compressed bytes evicted to the backing file, and
   /// `bloom_negatives` the membership probes the Bloom front short-circuited
   /// (DESIGN.md §3.7).
-  std::size_t cas_retries = 0;
   std::size_t pages_compressed = 0;
   std::size_t spill_bytes = 0;
   std::size_t bloom_negatives = 0;
@@ -133,8 +134,8 @@ struct RunStats {
   X(kProof, proof_obligations)                                                            \
   X(kBdd, bdd_peak_live_nodes) X(kBdd, bdd_gc_collections) X(kBdd, bdd_unique_hit_rate)   \
   X(kBdd, bdd_op_cache_hit_rate) X(kBdd, bdd_iterations)                                  \
-  X(kStore, cas_retries) X(kStore, pages_compressed) X(kStore, spill_bytes)               \
-  X(kStore, bloom_negatives) X(kStore, spill_async_pages) X(kStore, spill_sync_waits)     \
+  X(kStore, pages_compressed) X(kStore, spill_bytes) X(kStore, bloom_negatives)           \
+  X(kStore, spill_async_pages) X(kStore, spill_sync_waits)                                \
   X(kOwcty, trim_rounds) X(kOwcty, residue_states)                                        \
   X(kReduction, canon_ops) X(kReduction, canon_swaps)                                     \
   X(kPor, ample_sets) X(kPor, pruned_combos) X(kPor, proviso_fallbacks)

@@ -1,18 +1,14 @@
-// LockFreeStateIndexMap: the lock-free, compressing, out-of-core sibling of
+// LockFreeStateIndexMap: the compressing, out-of-core sibling of
 // ShardedStateIndexMap — the storage layer behind `--store lockfree`.
 //
 // Three tiers, one interface:
 //
-//   1. A lock-free open-addressed probe table. Each shard owns a power-of-two
-//      array of 64-bit atomic slots packing (fingerprint << 32) | id-field,
-//      where the fingerprint is the low 32 bits of the state hash and the
-//      id-field is local+1 (0 = empty, 0xffffffff = claimed).
-//      Insertion is a claim protocol: CAS the empty slot to (fp, CLAIMED),
-//      allocate the next dense local id from the shard counter, write the
-//      packed state into the arena page, then release-store the final
-//      (fp, local+1) word. There is no mutex anywhere on the insert path;
-//      same-fingerprint racers spin on the claimed slot until publication
-//      and then compare states.
+//   1. An open-addressed probe table per shard: a power-of-two array of
+//      64-bit slots packing (fingerprint << 32) | (local + 1), where the
+//      fingerprint is the low 32 bits of the state hash and 0 marks an empty
+//      slot. A probe compares fingerprints first and reads a stored state
+//      only on a fingerprint match. A shard grows its own table at 70% load,
+//      rehashing from the fingerprints alone.
 //
 //   2. Delta compression of the closed set. The arena is paged (1024 states
 //      per page, stable addresses). Once a BFS level is sealed — the engines
@@ -31,47 +27,39 @@
 //      until a later maintain step harvests their completions, so readers
 //      never race a tier change; the only synchronous barrier (counted in
 //      StoreStats::spill_sync_waits) is taken when the budget is still
-//      exceeded with writes in flight. A Bloom filter built over the
-//      fingerprints absorbs definitely-absent membership probes. Runs whose
-//      closed set exceeds RAM finish with exact counts.
+//      exceeded with writes in flight. One Bloom filter over the
+//      fingerprints of every shard absorbs definitely-absent membership
+//      probes. Runs whose closed set exceeds RAM finish with exact counts.
 //
 // Id encoding matches ShardedStateIndexMap exactly — id = (local <<
 // log2(shards)) | shard, shard routing from the top hash-bit window
 // (support/hash.hpp) — so verdicts, counts and extracted traces are
 // bit-identical between the stores at any thread count.
 //
-// Thread-safety contract (mirrors the level-synchronous engines):
-//   * insert()        — safe from any number of threads concurrently, to any
-//                       shards. Never grows the table; a shard whose probe
-//                       table genuinely fills mid-phase throws
-//                       StateCapacityError (quiescent_maintain() grows with
-//                       headroom between levels, so this is a safety valve).
-//   * insert_serial() — single-threaded fast path; grows the shard table and
-//                       the Bloom filter inline.
-//   * find()/at()     — safe concurrently with each other and with insert().
-//                       A find that races an in-flight insert of the same
-//                       state may miss it (the engines only find against a
-//                       frozen store, so they never observe this).
+// Thread-safety contract (owner-exclusive shards, as ShardedStateIndexMap):
+//   * insert()        — inserts to *different* shards may run concurrently;
+//                       each shard admits one writer at a time. The frontier
+//                       engines' drain phase gives every shard to exactly one
+//                       thread. The only memory two shard owners share is the
+//                       Bloom filter, whose bits are set with atomic fetch_or.
+//   * find()/at()     — plain reads; safe concurrently with each other, never
+//                       with an insert to the same shard (the level-
+//                       synchronous engines read only between write phases).
 //   * quiescent_maintain()/reserve()/size()/memory_bytes()/store_stats() —
 //                       quiescent phases only (single thread, no concurrent
-//                       access), exactly like the sharded map's contract.
+//                       access).
 //
-// Memory-order argument for the publication protocol: the claiming thread's
-// arena-page writes (plain stores) are sequenced before its release-store of
-// (fp, local+1); any reader that observes the published word via an acquire
-// load therefore sees the fully written state, and — transitively through the
-// page-directory CAS chain — the page pointer that holds it. Claims are
-// acquire-release CAS so a failed claimer rereads a coherent slot value. Tier
-// transitions (sealing, and the sealed→spilled flip after a write becomes
-// durable) happen only at quiescent points, so the concurrent phases never
-// observe one.
+// Memory order: the engines separate write and read phases with a barrier,
+// which orders every insert's plain slot and arena stores before the next
+// phase's reads. Tier transitions (sealing, and the sealed→spilled flip after
+// a write becomes durable) and Bloom rebuilds happen only at quiescent
+// points, so the concurrent phases never observe one.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <bit>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <utility>
@@ -104,24 +92,12 @@ class LockFreeStateIndexMap {
 
   /// Cumulative counters, readable at quiescent points (store_stats()).
   struct StoreStats {
-    std::size_t cas_retries = 0;       ///< failed claims + claimed-slot spins
     std::size_t pages_compressed = 0;  ///< arena pages sealed to delta form
     std::size_t pages_spilled = 0;     ///< page bodies evicted out of RAM
     std::size_t spill_bytes = 0;       ///< compressed bytes handed to the writer
     std::size_t bloom_negatives = 0;   ///< finds short-circuited by the Bloom
     std::size_t spill_sync_waits = 0;  ///< synchronous write-behind barriers
     std::size_t spill_async_pages = 0; ///< pages enqueued without blocking
-  };
-
-  /// What one quiescent_maintain() call did; engines wrap it in an obs span.
-  struct MaintainStats {
-    std::size_t pages_sealed = 0;
-    std::size_t pages_spilled = 0;
-    std::size_t bytes_spilled = 0;
-    std::size_t pages_enqueued = 0;  ///< handed to the write-behind thread
-    std::size_t sync_waits = 0;      ///< blocking barriers this call took
-    std::size_t shards_grown = 0;
-    bool bloom_rebuilt = false;
   };
 
   /// Resident-byte accounting, component by component; memory_bytes() is
@@ -139,8 +115,12 @@ class LockFreeStateIndexMap {
     }
   };
 
+  /// `max_states_per_shard` lowers the per-shard dense-id cap below the
+  /// encoding limit; insert() throws StateCapacityError beyond it. With one
+  /// shard this is an exact total cap (as for ShardedStateIndexMap).
   explicit LockFreeStateIndexMap(unsigned shard_count = 1,
-                                 std::size_t initial_capacity = 1 << 12) {
+                                 std::size_t initial_capacity = 1 << 12,
+                                 std::uint64_t max_states_per_shard = ~0ull) {
     TT_REQUIRE(shard_count >= 1 && shard_count <= kMaxShards, "bad shard count");
     unsigned shards = 1;
     shard_bits_ = 0;
@@ -149,10 +129,10 @@ class LockFreeStateIndexMap {
       ++shard_bits_;
     }
     shard_mask_ = shards - 1;
-    // Ids never reach 0xffffffff, and the id-field value 0xffffffff is the
-    // claim sentinel: cap local ids below both.
+    // Ids never reach 0xffffffff: cap each shard one short of its local
+    // space, which also keeps the slot's local+1 field within 32 bits.
     local_limit_ = (shard_bits_ == 32) ? 0 : ((1ull << (32 - shard_bits_)) - 1);
-    if (local_limit_ > 0xfffffffeull) local_limit_ = 0xfffffffeull;
+    if (max_states_per_shard < local_limit_) local_limit_ = max_states_per_shard;
     shards_ = std::make_unique<Shard[]>(shards);
     const std::size_t per_shard = initial_capacity / shards + 64;
     for (unsigned s = 0; s <= shard_mask_; ++s) shards_[s].init(per_shard);
@@ -178,156 +158,76 @@ class LockFreeStateIndexMap {
     return (local << shard_bits_) | shard;
   }
 
+  /// Interns `s`. Returns {id, fresh}. The caller must be the only writer
+  /// of `s`'s shard for the duration of the call.
   std::pair<std::uint32_t, bool> insert(const State& s) { return insert(s, hash_words(s)); }
 
-  /// Lock-free hash-once intern, safe under arbitrary concurrency.
+  /// Hash-once intern; `h` must equal `hash_words(s)`. Grows only the
+  /// probe table of `s`'s own shard.
   std::pair<std::uint32_t, bool> insert(const State& s, std::uint64_t h) {
-    const unsigned shard_idx = shard_of(h);
-    Shard& sh = shards_[shard_idx];
-    const std::uint32_t fp = static_cast<std::uint32_t>(h);
-    std::size_t slot = fp & sh.mask;
-    std::size_t probes = 0;
-    std::uint64_t v = sh.slots[slot].load(std::memory_order_acquire);
-    while (true) {
-      if (v == 0) {
-        const std::uint64_t claim = (static_cast<std::uint64_t>(fp) << 32) | kClaimedField;
-        if (!sh.slots[slot].compare_exchange_strong(v, claim, std::memory_order_acq_rel,
-                                                    std::memory_order_acquire)) {
-          cas_retries_.fetch_add(1, std::memory_order_relaxed);
-          continue;  // v holds the interloper's value; re-examine this slot
-        }
-        std::uint32_t local;
-        try {
-          local = allocate_local(sh);
-        } catch (...) {
-          // Roll the claim back so the table stays consistent for whoever
-          // observes the exception and inspects the store afterwards.
-          sh.slots[slot].store(0, std::memory_order_release);
-          throw;
-        }
-        Page* pg = page_for_write(sh, shard_idx, local >> kPageBits);
-        pg->raw[local & kPageOffMask] = s;
-        sh.slots[slot].store((static_cast<std::uint64_t>(fp) << 32) | (local + 1),
-                             std::memory_order_release);
-        bloom_add(fp);
-        return {id_of(shard_idx, local), true};
-      }
-      if (static_cast<std::uint32_t>(v >> 32) == fp) {
-        const std::uint32_t idf = static_cast<std::uint32_t>(v);
-        if (idf == kClaimedField) {
-          // Same-fingerprint insert in flight: wait for publication, then
-          // compare against the published state.
-          cas_retries_.fetch_add(1, std::memory_order_relaxed);
-          v = sh.slots[slot].load(std::memory_order_acquire);
-          continue;
-        }
-        const std::uint32_t local = idf - 1;
-        if (state_equals(sh, local, s)) return {id_of(shard_idx, local), false};
-      }
-      if (++probes > sh.mask) {
-        throw StateCapacityError(
-            "LockFreeStateIndexMap: probe table full mid-phase "
-            "(quiescent_maintain grows with headroom between levels)");
-      }
-      slot = (slot + 1) & sh.mask;
-      v = sh.slots[slot].load(std::memory_order_acquire);
+    const unsigned idx = shard_of(h);
+    Shard& sh = shards_[idx];
+    if ((std::size_t{sh.count} + 1) * 10 >= (sh.mask + 1) * 7) grow_shard(sh, (sh.mask + 1) * 2);
+    const auto fp = static_cast<std::uint32_t>(h);
+    std::uint64_t& slot = sh.slots[probe(sh, fp, s)];
+    if (slot != 0) return {id_of(idx, static_cast<std::uint32_t>(slot) - 1), false};
+    if (sh.count >= local_limit_) {
+      throw StateCapacityError("LockFreeStateIndexMap: shard dense-id space exhausted");
     }
+    const std::uint32_t local = sh.count;
+    if ((local & kPageOffMask) == 0) sh.pages.push_back(std::make_unique<Page>(idx));
+    sh.pages.back()->raw[local & kPageOffMask] = s;
+    slot = (static_cast<std::uint64_t>(fp) << 32) | (local + 1);
+    ++sh.count;
+    bloom_add(fp);
+    return {id_of(idx, local), true};
   }
 
-  std::pair<std::uint32_t, bool> insert_serial(const State& s) {
-    return insert_serial(s, hash_words(s));
-  }
-
-  /// Single-threaded intern: same table, relaxed atomics, inline growth.
+  /// Same as insert(); kept because benchmark/replay.hpp names it.
   std::pair<std::uint32_t, bool> insert_serial(const State& s, std::uint64_t h) {
-    const unsigned shard_idx = shard_of(h);
-    Shard& sh = shards_[shard_idx];
-    if ((sh.count.load(std::memory_order_relaxed) + 1) * 10 >= (sh.mask + 1) * 7) {
-      grow_shard(sh, (sh.mask + 1) * 2);
-      maybe_grow_bloom();
-    }
-    const std::uint32_t fp = static_cast<std::uint32_t>(h);
-    std::size_t slot = fp & sh.mask;
-    while (true) {
-      const std::uint64_t v = sh.slots[slot].load(std::memory_order_relaxed);
-      if (v == 0) {
-        const std::uint32_t local = allocate_local(sh);
-        Page* pg = page_for_write(sh, shard_idx, local >> kPageBits);
-        pg->raw[local & kPageOffMask] = s;
-        sh.slots[slot].store((static_cast<std::uint64_t>(fp) << 32) | (local + 1),
-                             std::memory_order_relaxed);
-        bloom_add(fp);
-        return {id_of(shard_idx, local), true};
-      }
-      if (static_cast<std::uint32_t>(v >> 32) == fp) {
-        const std::uint32_t local = static_cast<std::uint32_t>(v) - 1;
-        if (state_equals(sh, local, s)) return {id_of(shard_idx, local), false};
-      }
-      slot = (slot + 1) & sh.mask;
-    }
+    return insert(s, h);
   }
 
   [[nodiscard]] std::uint32_t find(const State& s) const { return find(s, hash_words(s)); }
 
-  /// Hash-once lookup; Bloom-fronted, then the lock-free probe walk.
+  /// Hash-once lookup; Bloom-fronted, then the probe walk.
   [[nodiscard]] std::uint32_t find(const State& s, std::uint64_t h) const {
-    const std::uint32_t fp = static_cast<std::uint32_t>(h);
+    const auto fp = static_cast<std::uint32_t>(h);
     if (bloom_mask_ != 0 && !bloom_maybe(fp)) {
       bloom_negatives_.fetch_add(1, std::memory_order_relaxed);
       return kEmpty;
     }
-    const unsigned shard_idx = shard_of(h);
-    const Shard& sh = shards_[shard_idx];
-    std::size_t slot = fp & sh.mask;
-    while (true) {
-      const std::uint64_t v = sh.slots[slot].load(std::memory_order_acquire);
-      if (v == 0) return kEmpty;
-      if (static_cast<std::uint32_t>(v >> 32) == fp) {
-        const std::uint32_t idf = static_cast<std::uint32_t>(v);
-        if (idf == kClaimedField) {
-          cas_retries_.fetch_add(1, std::memory_order_relaxed);
-          continue;  // in-flight insert of this fingerprint: wait it out
-        }
-        const std::uint32_t local = idf - 1;
-        if (state_equals(sh, local, s)) return id_of(shard_idx, local);
-      }
-      slot = (slot + 1) & sh.mask;
-    }
+    const unsigned idx = shard_of(h);
+    const Shard& sh = shards_[idx];
+    const std::uint64_t v = sh.slots[probe(sh, fp, s)];
+    return v == 0 ? kEmpty : id_of(idx, static_cast<std::uint32_t>(v) - 1);
   }
 
   /// Decoding read: raw pages are a direct load; sealed and spilled pages
   /// reconstruct the state from the reference + delta stream. Returns by
   /// value — callers bind a const reference or copy, both are fine.
   [[nodiscard]] State at(std::uint32_t id) const {
-    const Shard& sh = shards_[id & shard_mask_];
-    const std::uint32_t local = id >> shard_bits_;
-    const Page* pg = page_for_read(sh, local >> kPageBits);
-    const std::uint32_t off = local & kPageOffMask;
-    if (pg->tier == kTierRaw) return pg->raw[off];
-    State out;
-    decode_into(*pg, off, out);
-    return out;
+    return state_at(shards_[id & shard_mask_], id >> shard_bits_);
   }
 
   [[nodiscard]] std::size_t size() const noexcept {
     std::size_t total = 0;
-    for (unsigned s = 0; s <= shard_mask_; ++s) {
-      total += shards_[s].count.load(std::memory_order_relaxed);
-    }
+    for (unsigned s = 0; s <= shard_mask_; ++s) total += shards_[s].count;
     return total;
   }
 
   [[nodiscard]] std::size_t shard_size(unsigned shard) const noexcept {
-    return shards_[shard].count.load(std::memory_order_relaxed);
+    return shards_[shard].count;
   }
 
   /// Resident bytes, component by component. Quiescent phases only.
   [[nodiscard]] MemoryBreakdown memory_breakdown() const noexcept {
     MemoryBreakdown b;
-    b.raw_pages = raw_bytes_.load(std::memory_order_relaxed);
     b.sealed_pages = sealed_bytes_;
     for (unsigned s = 0; s <= shard_mask_; ++s) {
-      b.slots += (shards_[s].mask + 1) * sizeof(std::uint64_t);
+      const Shard& sh = shards_[s];
+      b.slots += sh.slots.size() * sizeof(std::uint64_t);
+      b.raw_pages += (sh.pages.size() - sh.sealed_pages) * kPageStates * sizeof(State);
     }
     if (bloom_mask_ != 0) b.bloom = (bloom_mask_ + 1) / 8;
     if (writer_) b.spill_writer = writer_->memory_bytes();
@@ -354,10 +254,6 @@ class LockFreeStateIndexMap {
     grow_bloom_for(total_states);
   }
 
-  /// Caps the total interned states; insert throws StateCapacityError beyond
-  /// it. Quiescent only. Mirrors StateIndexMap's max_states constructor dial.
-  void set_max_states(std::uint64_t n) { max_states_ = n; }
-
   /// Sets the resident-memory budget in bytes (0 = unlimited). Sealed pages
   /// are spilled to disk at quiescent points while memory_bytes() exceeds it.
   void set_mem_budget(std::size_t bytes) { mem_budget_bytes_ = bytes; }
@@ -376,7 +272,6 @@ class LockFreeStateIndexMap {
 
   [[nodiscard]] StoreStats store_stats() const noexcept {
     StoreStats st = stats_;
-    st.cas_retries = cas_retries_.load(std::memory_order_relaxed);
     st.bloom_negatives = bloom_negatives_.load(std::memory_order_relaxed);
     return st;
   }
@@ -389,8 +284,10 @@ class LockFreeStateIndexMap {
   ///      after this quiescent point).
   ///   2. Grows any shard whose table would exceed ~50% load after
   ///      `expected_new_states` more inserts (rehash from fingerprints alone
-  ///      — sealed states never need decoding to rehash).
-  ///   3. Grows/rebuilds the Bloom filter toward 16 bits per state.
+  ///      — sealed states never need decoding to rehash). A headroom hint
+  ///      only: insert() still grows a shard that outruns it.
+  ///   3. Grows/rebuilds the Bloom filter toward 16 bits per state; the
+  ///      only place it grows, since a rebuild reads every shard.
   ///   4. Seals every full arena page whose states predate the *previous*
   ///      quiescent point (the current frontier stays raw for fast expand
   ///      reads) and delta-compresses it.
@@ -398,42 +295,39 @@ class LockFreeStateIndexMap {
   ///      thread and frees the oldest *durable* bodies while over budget;
   ///      takes the synchronous barrier only when still over budget with
   ///      writes in flight (StoreStats::spill_sync_waits).
-  MaintainStats quiescent_maintain(std::size_t expected_new_states = 0) {
-    MaintainStats out;
+  void quiescent_maintain(std::size_t expected_new_states = 0) {
     harvest_spill();
     const std::size_t expected_share =
         expected_new_states / shard_count() + expected_new_states / (4 * shard_count()) + 16;
     for (unsigned s = 0; s <= shard_mask_; ++s) {
       Shard& sh = shards_[s];
-      const std::size_t need = sh.count.load(std::memory_order_relaxed) + expected_share;
+      const std::size_t need = sh.count + expected_share;
       std::size_t cap = sh.mask + 1;
       while ((need + 1) * 2 >= cap) cap <<= 1;  // target load <= ~0.5 post-growth
-      if (cap != sh.mask + 1) {
-        grow_shard(sh, cap);
-        ++out.shards_grown;
-      }
+      if (cap != sh.mask + 1) grow_shard(sh, cap);
     }
-    out.bloom_rebuilt = maybe_grow_bloom();
+    const std::size_t total = size();
+    if (bloom_mask_ == 0 || total * 16 > bloom_mask_ + 1) {
+      grow_bloom_for(total + total / 2 + 1024);
+    }
     for (unsigned s = 0; s <= shard_mask_; ++s) {
       Shard& sh = shards_[s];
       const std::uint32_t sealable_limit = sh.prev_quiescent;
-      sh.prev_quiescent = sh.count.load(std::memory_order_relaxed);
+      sh.prev_quiescent = sh.count;
       while ((sh.sealed_pages + 1) * kPageStates <= sealable_limit) {
-        Page* pg = page_for_read(sh, sh.sealed_pages);
+        Page* pg = sh.pages[sh.sealed_pages].get();
         seal_page(*pg);
         spill_queue_.push_back(pg);
         ++sh.sealed_pages;
-        ++out.pages_sealed;
       }
     }
     if (mem_budget_bytes_ != 0 && SpillWriter::platform_supported()) {
       // Write-behind: hand every newly sealed page to the I/O thread and
       // return; bodies stay resident (and readable) until their writes are
       // durable *and* a later maintain step frees them.
-      if (!writer_ && enqueue_head_ < spill_queue_.size()) {
-        writer_ = std::make_unique<SpillWriter>(shard_count(), spill_dir_);
-      }
-      while (enqueue_head_ < spill_queue_.size()) {
+      const bool enqueue = enqueue_head_ < spill_queue_.size();
+      if (!writer_ && enqueue) writer_ = std::make_unique<SpillWriter>(shard_count(), spill_dir_);
+      for (; enqueue_head_ < spill_queue_.size(); ++enqueue_head_) {
         Page* pg = spill_queue_[enqueue_head_];
         const std::uint32_t len = static_cast<std::uint32_t>(pg->packed.size());
         pg->spill_off = writer_->enqueue(pg->owner, pg->packed.data(), len,
@@ -441,14 +335,10 @@ class LockFreeStateIndexMap {
         pg->spill_len = len;
         stats_.spill_bytes += len;
         ++stats_.spill_async_pages;
-        out.bytes_spilled += len;
-        ++out.pages_enqueued;
-        ++enqueue_head_;
       }
-      if (spill_sync_ && writer_ && out.pages_enqueued > 0) {
+      if (spill_sync_ && enqueue) {
         writer_->wait_idle();
         ++stats_.spill_sync_waits;
-        ++out.sync_waits;
       }
       harvest_spill();
       while (memory_bytes() > mem_budget_bytes_ && free_head_ < spill_queue_.size()) {
@@ -458,11 +348,10 @@ class LockFreeStateIndexMap {
           // place the write-behind pipeline takes a synchronous barrier.
           writer_->wait_idle();
           ++stats_.spill_sync_waits;
-          ++out.sync_waits;
           harvest_spill();
           if (!pg->durable) break;  // writer failed; surfaced below
         }
-        evict_page(*pg, out);
+        evict_page(*pg);
         ++free_head_;
       }
       if (writer_) {
@@ -474,36 +363,12 @@ class LockFreeStateIndexMap {
         }
       }
     }
-    return out;
   }
-
-  ~LockFreeStateIndexMap() {
-    writer_.reset();  // join the I/O thread before its page buffers go away
-    for (unsigned s = 0; s <= shard_mask_; ++s) {
-      Shard& sh = shards_[s];
-      for (std::size_t d = 0; d < kDirTop; ++d) {
-        Leaf* leaf = sh.dir[d].load(std::memory_order_relaxed);
-        if (!leaf) continue;
-        for (auto& pe : leaf->pages) delete pe.load(std::memory_order_relaxed);
-        delete leaf;
-      }
-    }
-  }
-
-  LockFreeStateIndexMap(const LockFreeStateIndexMap&) = delete;
-  LockFreeStateIndexMap& operator=(const LockFreeStateIndexMap&) = delete;
 
  private:
-  static constexpr std::uint32_t kClaimedField = 0xffffffffu;
   static constexpr std::uint32_t kPageBits = 10;  ///< 1024 states per page
   static constexpr std::uint32_t kPageStates = 1u << kPageBits;
   static constexpr std::uint32_t kPageOffMask = kPageStates - 1;
-  static constexpr std::uint32_t kLeafBits = 9;  ///< pages per directory leaf
-  static constexpr std::size_t kLeafPages = std::size_t{1} << kLeafBits;
-  static constexpr std::size_t kLeafMask = kLeafPages - 1;
-  // Top directory entries per shard; covers 2^(10+9+10) = 2^29 states/shard,
-  // beyond the 32-bit id space at any shard count >= 8.
-  static constexpr std::size_t kDirTop = std::size_t{1} << 10;
   static constexpr std::uint32_t kAnchorShift = 3;  ///< random-access stride 8
   static constexpr std::uint32_t kAnchorEvery = 1u << kAnchorShift;
   static constexpr std::size_t kStateBytes = W * sizeof(std::uint64_t);
@@ -515,6 +380,9 @@ class LockFreeStateIndexMap {
   };
 
   struct Page {
+    explicit Page(unsigned shard)
+        : raw(std::make_unique<State[]>(kPageStates)), owner(shard) {}
+
     std::unique_ptr<State[]> raw;        ///< kPageStates entries while kTierRaw
     State ref{};                         ///< delta reference once sealed
     std::vector<std::uint8_t> packed;    ///< mask+delta stream while kTierSealed
@@ -526,94 +394,48 @@ class LockFreeStateIndexMap {
     std::uint8_t tier = kTierRaw;
   };
 
-  struct Leaf {
-    std::array<std::atomic<Page*>, kLeafPages> pages{};
-  };
-
-  struct Shard {
-    std::unique_ptr<std::atomic<std::uint64_t>[]> slots;
+  // One cache line (at least) per shard, so owners of neighbouring shards
+  // never write the same line.
+  struct alignas(64) Shard {
+    std::vector<std::uint64_t> slots;  ///< (fp << 32) | (local + 1); 0 = empty
     std::size_t mask = 0;
-    std::atomic<std::uint32_t> count{0};
-    std::unique_ptr<std::atomic<Leaf*>[]> dir;
+    std::uint32_t count = 0;
     std::uint32_t prev_quiescent = 0;  ///< count at the previous maintain()
     std::uint32_t sealed_pages = 0;    ///< pages [0, sealed_pages) are sealed
+    /// The arena. Pages are heap-allocated so their addresses stay stable
+    /// for spill_queue_ and the spill writer's completion cookies.
+    std::vector<std::unique_ptr<Page>> pages;
 
     void init(std::size_t initial_capacity) {
       std::size_t cap = 64;
       while (cap < initial_capacity) cap <<= 1;
-      slots = std::make_unique<std::atomic<std::uint64_t>[]>(cap);  // value-init: all empty
+      slots.assign(cap, 0);
       mask = cap - 1;
-      dir = std::make_unique<std::atomic<Leaf*>[]>(kDirTop);
     }
   };
 
-  std::uint32_t allocate_local(Shard& sh) {
-    if (max_states_ != ~0ull) {
-      std::uint64_t t = cap_used_.load(std::memory_order_relaxed);
-      do {
-        if (t >= max_states_) {
-          throw StateCapacityError("LockFreeStateIndexMap: dense state-id space exhausted");
-        }
-      } while (!cap_used_.compare_exchange_weak(t, t + 1, std::memory_order_relaxed));
-    }
-    std::uint32_t c = sh.count.load(std::memory_order_relaxed);
-    do {
-      if (c >= local_limit_) {
-        // cap_used_ stays bumped; the exception aborts the run anyway.
-        throw StateCapacityError("LockFreeStateIndexMap: shard dense-id space exhausted");
+  /// The slot holding `s` in `sh`, or the empty slot that ends its probe
+  /// sequence.
+  std::size_t probe(const Shard& sh, std::uint32_t fp, const State& s) const {
+    std::size_t slot = fp & sh.mask;
+    while (true) {
+      const std::uint64_t v = sh.slots[slot];
+      if (v == 0) return slot;
+      if (static_cast<std::uint32_t>(v >> 32) == fp &&
+          state_at(sh, static_cast<std::uint32_t>(v) - 1) == s) {
+        return slot;
       }
-    } while (!sh.count.compare_exchange_weak(c, c + 1, std::memory_order_relaxed));
-    return c;
+      slot = (slot + 1) & sh.mask;
+    }
   }
 
-  /// Writer-side page lookup: allocates directory leaves and pages on first
-  /// touch via CAS publication (losers free their allocation and adopt).
-  Page* page_for_write(Shard& sh, unsigned shard_idx, std::uint32_t page_idx) {
-    std::atomic<Leaf*>& le = sh.dir[page_idx >> kLeafBits];
-    Leaf* leaf = le.load(std::memory_order_acquire);
-    if (!leaf) {
-      Leaf* fresh = new Leaf();
-      if (le.compare_exchange_strong(leaf, fresh, std::memory_order_acq_rel,
-                                     std::memory_order_acquire)) {
-        leaf = fresh;
-      } else {
-        delete fresh;  // leaf holds the winner
-      }
-    }
-    std::atomic<Page*>& pe = leaf->pages[page_idx & kLeafMask];
-    Page* pg = pe.load(std::memory_order_acquire);
-    if (!pg) {
-      Page* fresh = new Page();
-      fresh->raw = std::make_unique<State[]>(kPageStates);
-      fresh->owner = shard_idx;
-      if (pe.compare_exchange_strong(pg, fresh, std::memory_order_acq_rel,
-                                     std::memory_order_acquire)) {
-        pg = fresh;
-        raw_bytes_.fetch_add(kPageStates * sizeof(State), std::memory_order_relaxed);
-      } else {
-        delete fresh;
-      }
-    }
-    return pg;
-  }
-
-  /// Reader-side page lookup: the page was published before the id that led
-  /// the reader here, so both levels must be non-null.
-  Page* page_for_read(const Shard& sh, std::uint32_t page_idx) const {
-    Leaf* leaf = sh.dir[page_idx >> kLeafBits].load(std::memory_order_acquire);
-    TT_ASSERT(leaf != nullptr);
-    Page* pg = leaf->pages[page_idx & kLeafMask].load(std::memory_order_acquire);
-    TT_ASSERT(pg != nullptr);
-    return pg;
-  }
-
-  bool state_equals(const Shard& sh, std::uint32_t local, const State& s) const {
-    const Page* pg = page_for_read(sh, local >> kPageBits);
+  State state_at(const Shard& sh, std::uint32_t local) const {
+    const Page& pg = *sh.pages[local >> kPageBits];
     const std::uint32_t off = local & kPageOffMask;
-    if (pg->tier == kTierRaw) return pg->raw[off] == s;
-    State tmp;
-    decode_into(*pg, off, tmp);
-    return tmp == s;
+    if (pg.tier == kTierRaw) return pg.raw[off];
+    State out;
+    decode_into(pg, off, out);
+    return out;
   }
 
   // ---- delta codec -------------------------------------------------------
@@ -682,19 +504,17 @@ class LockFreeStateIndexMap {
     pg.packed.shrink_to_fit();
     pg.raw.reset();
     pg.tier = kTierSealed;
-    raw_bytes_.fetch_sub(kPageStates * sizeof(State), std::memory_order_relaxed);
     sealed_bytes_ += pg.packed.capacity() + pg.anchors.capacity() * sizeof(std::uint32_t);
     ++stats_.pages_compressed;
   }
 
   /// Frees the resident body of a page whose write-behind job is durable.
-  void evict_page(Page& pg, MaintainStats& out) {
+  void evict_page(Page& pg) {
     sealed_bytes_ -= pg.packed.capacity();
     pg.packed.clear();
     pg.packed.shrink_to_fit();
     pg.tier = kTierSpilled;  // anchors stay resident for random access
     ++stats_.pages_spilled;
-    ++out.pages_spilled;
   }
 
   /// Collects write-behind completions and marks their pages durable. The
@@ -711,29 +531,29 @@ class LockFreeStateIndexMap {
     }
   }
 
-  // ---- probe-table growth (quiescent/serial only) ------------------------
-  // Rehashing needs only the stored fingerprints: probe homes are fp & mask,
-  // and every mask this store can reach is below 2^32, so the low-32 window
-  // determines the home slot without decoding (or re-reading spilled) states.
+  // ---- probe-table growth (the shard's owner, or quiescent) --------------
+  // Rehashing needs only the stored fingerprints: a probe's home slot is
+  // fp & mask, so it is found without decoding (or re-reading spilled)
+  // states.
 
-  void grow_shard(Shard& sh, std::size_t new_cap) {
-    auto bigger = std::make_unique<std::atomic<std::uint64_t>[]>(new_cap);  // value-init
+  static void grow_shard(Shard& sh, std::size_t new_cap) {
+    std::vector<std::uint64_t> bigger(new_cap, 0);
     const std::size_t mask = new_cap - 1;
-    for (std::size_t i = 0; i <= sh.mask; ++i) {
-      const std::uint64_t v = sh.slots[i].load(std::memory_order_relaxed);
+    for (const std::uint64_t v : sh.slots) {
       if (v == 0) continue;
-      TT_ASSERT(static_cast<std::uint32_t>(v) != kClaimedField);  // quiescent: no claims
       std::size_t slot = static_cast<std::uint32_t>(v >> 32) & mask;
-      while (bigger[slot].load(std::memory_order_relaxed) != 0) slot = (slot + 1) & mask;
-      bigger[slot].store(v, std::memory_order_relaxed);
+      while (bigger[slot] != 0) slot = (slot + 1) & mask;
+      bigger[slot] = v;
     }
     sh.slots = std::move(bigger);
     sh.mask = mask;
   }
 
   // ---- Bloom front -------------------------------------------------------
-  // Two bits per state derived from mix64(fp) — rebuildable from the slot
-  // words alone. Sized toward 16 bits/state (~1.4% false-maybe rate).
+  // One filter for all shards, two bits per state derived from mix64(fp) —
+  // rebuildable from the slot words alone. Sized toward 16 bits/state
+  // (~1.4% false-maybe rate). Owners of different shards may set bits in
+  // the same word, hence the atomic fetch_or.
 
   void bloom_add(std::uint32_t fp) {
     if (bloom_mask_ == 0) return;
@@ -752,13 +572,6 @@ class LockFreeStateIndexMap {
            ((bloom_[p2 >> 6].load(std::memory_order_relaxed) >> (p2 & 63)) & 1) != 0;
   }
 
-  bool maybe_grow_bloom() {
-    const std::size_t total = size();
-    if (bloom_mask_ != 0 && total * 16 <= bloom_mask_ + 1) return false;
-    grow_bloom_for(total + total / 2 + 1024);
-    return true;
-  }
-
   void grow_bloom_for(std::size_t states) {
     std::size_t bits = 1 << 14;
     while (bits < states * 16) bits <<= 1;
@@ -766,9 +579,7 @@ class LockFreeStateIndexMap {
     bloom_ = std::make_unique<std::atomic<std::uint64_t>[]>(bits / 64);  // value-init
     bloom_mask_ = bits - 1;
     for (unsigned s = 0; s <= shard_mask_; ++s) {
-      const Shard& sh = shards_[s];
-      for (std::size_t i = 0; i <= sh.mask; ++i) {
-        const std::uint64_t v = sh.slots[i].load(std::memory_order_relaxed);
+      for (const std::uint64_t v : shards_[s].slots) {
         if (v != 0) bloom_add(static_cast<std::uint32_t>(v >> 32));
       }
     }
@@ -778,8 +589,6 @@ class LockFreeStateIndexMap {
   unsigned shard_bits_ = 0;
   unsigned shard_mask_ = 0;
   std::uint64_t local_limit_ = 0;
-  std::uint64_t max_states_ = ~0ull;
-  std::atomic<std::uint64_t> cap_used_{0};
 
   std::unique_ptr<std::atomic<std::uint64_t>[]> bloom_;
   std::size_t bloom_mask_ = 0;
@@ -792,14 +601,12 @@ class LockFreeStateIndexMap {
   bool spill_sync_ = false;           ///< bench dial: wait for every spill
   std::vector<SpillWriter::Completion> harvest_buf_;
 
-  std::atomic<std::size_t> raw_bytes_{0};
   std::size_t sealed_bytes_ = 0;
   StoreStats stats_;
-  mutable std::atomic<std::size_t> cas_retries_{0};
   mutable std::atomic<std::size_t> bloom_negatives_{0};
 
-  // Joined in the destructor before the arena pages are freed — keep last so
-  // any member-destruction order change cannot outlive the pages it reads.
+  // Destroyed first (members are destroyed in reverse order), so the I/O
+  // thread is joined before the arena pages it reads are freed — keep last.
   std::unique_ptr<SpillWriter> writer_;
 };
 

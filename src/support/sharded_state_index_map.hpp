@@ -23,11 +23,10 @@
 // BFS levels or DFS expansions.
 //
 // Thread-safety contract (owner-exclusive shards):
-//   * insert()/insert_serial() — the same unlocked insert under two names
-//                       (the lock-free store tells them apart). Inserts to
-//                       *different* shards may run concurrently; each shard
-//                       admits one writer at a time. The frontier engines'
-//                       drain phase gives every shard to exactly one thread.
+//   * insert()        — inserts to *different* shards may run concurrently;
+//                       each shard admits one writer at a time. The frontier
+//                       engines' drain phase gives every shard to exactly one
+//                       thread.
 //   * find()/at()     — plain reads; safe concurrently with each other and
 //                       with inserts to *other* shards. A read concurrent
 //                       with an insert to the same shard is a data race — the
@@ -142,9 +141,7 @@ class ShardedStateIndexMap {
     }
   }
 
-  /// Same as insert(); kept so callers written against either store can name
-  /// the single-threaded path.
-  std::pair<std::uint32_t, bool> insert_serial(const State& s) { return insert(s); }
+  /// Same as insert(); kept because benchmark/replay.hpp names it.
   std::pair<std::uint32_t, bool> insert_serial(const State& s, std::uint64_t h) {
     return insert(s, h);
   }

@@ -26,7 +26,7 @@ TEST(ShardedStateIndexMap, IdEncodesShardAndLocal) {
   Map2 map(16);
   for (std::uint64_t i = 0; i < 1000; ++i) {
     const auto s = make_state(i, i * 31);
-    const auto [id, fresh] = map.insert_serial(s);
+    const auto [id, fresh] = map.insert(s);
     ASSERT_TRUE(fresh);
     EXPECT_EQ(map.shard_of_id(id), map.shard_of(s));
     EXPECT_LT(map.local_of_id(id), map.shard_size(map.shard_of_id(id)));
@@ -59,7 +59,7 @@ TEST(ShardedStateIndexMap, DeterministicIdsAcrossRuns) {
   for (auto& run : ids) {
     Map2 map(16);
     for (std::uint64_t i = 0; i < 3000; ++i) {
-      run.push_back(map.insert_serial(make_state(i, ~i)).first);
+      run.push_back(map.insert(make_state(i, ~i)).first);
     }
   }
   EXPECT_EQ(ids[0], ids[1]);
@@ -69,7 +69,7 @@ TEST(ShardedStateIndexMap, ReservePreventsMidRunRehashEffects) {
   Map2 map(8);
   map.reserve(100000);
   const std::size_t before = map.memory_bytes();
-  for (std::uint64_t i = 0; i < 100000; ++i) map.insert_serial(make_state(i, i + 1));
+  for (std::uint64_t i = 0; i < 100000; ++i) map.insert(make_state(i, i + 1));
   EXPECT_EQ(map.size(), 100000u);
   // Arena growth may still reallocate, but the probe tables were pre-sized.
   EXPECT_GE(map.memory_bytes(), before);
@@ -98,7 +98,7 @@ TEST(ShardedStateIndexMap, OwnerPartitionedConcurrentInsert) {
 
   Map2 serial(kShards, 64);
   std::vector<std::uint32_t> want;
-  for (const auto& s : keys) want.push_back(serial.insert_serial(s).first);
+  for (const auto& s : keys) want.push_back(serial.insert(s).first);
 
   Map2 map(kShards, 64);
   std::vector<std::uint32_t> got(keys.size(), Map2::kEmpty);
@@ -171,7 +171,7 @@ TEST(ShardedStateIndexMap, PerShardCapThrowsStateCapacityError) {
   }
   EXPECT_FALSE(map.insert(make_state(0, 0)).second);  // duplicates stay fine
   EXPECT_THROW(map.insert(make_state(99, 99)), StateCapacityError);
-  EXPECT_THROW(map.insert_serial(make_state(77, 77)), StateCapacityError);
+  EXPECT_THROW(map.insert(make_state(77, 77)), StateCapacityError);
   // The failed inserts must not have corrupted the table.
   EXPECT_EQ(map.size(), 4u);
   EXPECT_EQ(map.find(make_state(2, 2)), 2u);
@@ -181,7 +181,7 @@ TEST(ShardedStateIndexMap, PerShardCapThrowsStateCapacityError) {
 TEST(ShardedStateIndexMap, MemoryAccountingCoversAllShards) {
   Map2 map(16);
   const std::size_t before = map.memory_bytes();
-  for (std::uint64_t i = 0; i < 10000; ++i) map.insert_serial(make_state(i, i));
+  for (std::uint64_t i = 0; i < 10000; ++i) map.insert(make_state(i, i));
   EXPECT_GT(map.memory_bytes(), before);
   EXPECT_GE(map.memory_bytes(), 10000 * sizeof(Map2::State));
 }

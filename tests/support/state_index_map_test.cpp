@@ -18,9 +18,9 @@ Map2::State make_state(std::uint64_t a, std::uint64_t b) { return {a, b}; }
 
 TEST(StateIndexMap, InsertAssignsDenseIndicesInOrder) {
   Map2 map(1);
-  auto [i0, fresh0] = map.insert_serial(make_state(1, 2));
-  auto [i1, fresh1] = map.insert_serial(make_state(3, 4));
-  auto [i2, fresh2] = map.insert_serial(make_state(1, 2));
+  auto [i0, fresh0] = map.insert(make_state(1, 2));
+  auto [i1, fresh1] = map.insert(make_state(3, 4));
+  auto [i2, fresh2] = map.insert(make_state(1, 2));
   EXPECT_TRUE(fresh0);
   EXPECT_TRUE(fresh1);
   EXPECT_FALSE(fresh2);
@@ -34,7 +34,7 @@ TEST(StateIndexMap, InsertAssignsDenseIndicesInOrder) {
 TEST(StateIndexMap, FindAbsentReturnsEmpty) {
   Map2 map(1);
   EXPECT_EQ(map.find(make_state(9, 9)), Map2::kEmpty);
-  map.insert_serial(make_state(9, 9));
+  map.insert(make_state(9, 9));
   EXPECT_EQ(map.find(make_state(9, 9)), 0u);
   EXPECT_EQ(map.find(make_state(9, 8)), Map2::kEmpty);
 }
@@ -47,7 +47,7 @@ TEST(StateIndexMap, GrowthPreservesContentsAgainstReference) {
     const std::uint64_t key = rng.next() % 50000;  // plenty of duplicates
     const auto s = make_state(key, key ^ 0xabcdef);
     const bool fresh_ref = reference.insert(key).second;
-    const auto [idx, fresh] = map.insert_serial(s);
+    const auto [idx, fresh] = map.insert(s);
     ASSERT_EQ(fresh, fresh_ref);
     ASSERT_EQ(map.at(idx), s);
     if (fresh) {
@@ -65,7 +65,7 @@ TEST(StateIndexMap, ReservePresizesForBoundedRuns) {
   map.reserve(50000);
   const std::size_t reserved = map.memory_bytes();
   for (std::uint64_t i = 0; i < 50000; ++i) {
-    const auto [idx, fresh] = map.insert_serial(make_state(i, i * 3));
+    const auto [idx, fresh] = map.insert(make_state(i, i * 3));
     ASSERT_TRUE(fresh);
     ASSERT_EQ(idx, i);
   }
@@ -79,11 +79,11 @@ TEST(StateIndexMap, InsertBeyondCapThrowsStateCapacityError) {
   // The dense-id overflow path at 2^32-1 states is unreachable in a unit
   // test; the configurable cap exercises the same checked branch.
   Map2 map(1, 64, /*max_states_per_shard=*/4);
-  for (std::uint64_t i = 0; i < 4; ++i) map.insert_serial(make_state(i, i));
+  for (std::uint64_t i = 0; i < 4; ++i) map.insert(make_state(i, i));
   EXPECT_EQ(map.size(), 4u);
   // Duplicates of interned states are still fine at the cap.
-  EXPECT_FALSE(map.insert_serial(make_state(0, 0)).second);
-  EXPECT_THROW(map.insert_serial(make_state(99, 99)), StateCapacityError);
+  EXPECT_FALSE(map.insert(make_state(0, 0)).second);
+  EXPECT_THROW(map.insert(make_state(99, 99)), StateCapacityError);
   // The failed insert must not have corrupted the table.
   EXPECT_EQ(map.size(), 4u);
   EXPECT_EQ(map.find(make_state(2, 2)), 2u);
@@ -96,17 +96,17 @@ TEST(StateIndexMap, ReserveRespectsCap) {
   Map2 map(1, 64, /*max_states_per_shard=*/100);
   map.reserve(1 << 20);
   for (std::uint64_t i = 0; i < 100; ++i) {
-    const auto [idx, fresh] = map.insert_serial(make_state(i, i));
+    const auto [idx, fresh] = map.insert(make_state(i, i));
     ASSERT_TRUE(fresh);
     ASSERT_EQ(idx, i);
   }
-  EXPECT_THROW(map.insert_serial(make_state(1000, 1000)), StateCapacityError);
+  EXPECT_THROW(map.insert(make_state(1000, 1000)), StateCapacityError);
 }
 
 TEST(StateIndexMap, MemoryAccounting) {
   Map2 map(1);
   const std::size_t before = map.memory_bytes();
-  for (std::uint64_t i = 0; i < 10000; ++i) map.insert_serial(make_state(i, i));
+  for (std::uint64_t i = 0; i < 10000; ++i) map.insert(make_state(i, i));
   EXPECT_GT(map.memory_bytes(), before);
   EXPECT_GE(map.memory_bytes(), 10000 * sizeof(Map2::State));
 }

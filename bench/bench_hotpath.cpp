@@ -265,67 +265,48 @@ void contended_stage(tt::BenchReport& report, const std::vector<State>& stream) 
 }
 
 /// EXP-OOC maintain-pause stage (DESIGN.md §3.9): how long the exploration
-/// loop stalls inside quiescent_maintain when sealed pages must leave RAM.
-/// `sync` reproduces the pre-write-behind protocol (every enqueue batch is
-/// followed by a wait_idle barrier inside the maintain, so the pause covers
-/// the disk write); `async` is the default pipeline (enqueue and return,
-/// bodies freed once their writes are harvested durable). Identical insert
-/// schedule, identical 1 MiB budget, identical unique-state stream — the
-/// pause delta is purely the barrier.
+/// loop stalls inside quiescent_maintain when sealed pages must leave RAM
+/// under a 1 MiB budget. Each maintain step that spills writes its pages
+/// synchronously, so the pause covers the disk writes and the remap.
 void maintain_pause_stage(tt::BenchReport& report, const std::vector<State>& uniq) {
 #if TT_LFSIM_HAS_SPILL
-  std::printf("=== maintain pause: sync spill barrier vs write-behind ===\n");
-  tt::TextTable t({"mode", "states", "maintains", "total_pause_s", "max_pause_s",
-                   "sync_waits", "async_pages"});
-  // The async win needs a core for the I/O thread to run on while the
-  // mutator continues; flag the rows on a possibly-one-core runner where
-  // the overlap cannot happen and the two modes converge.
-  const int one_core = tt::probe_possibly_one_core();
+  std::printf("=== maintain pause: synchronous spill under a 1 MiB budget ===\n");
+  tt::TextTable t({"states", "maintains", "total_pause_s", "max_pause_s", "spill_bytes",
+                   "sync_waits"});
   // Small enough that the quick-mode n=4 set still crosses several
   // quiescent points (sealing lags one maintain behind the insert wave).
   constexpr std::size_t kChunk = 2048;
-  for (const bool sync : {true, false}) {
-    tt::LockFreeStateIndexMap<kW> map(1);
-    map.set_mem_budget(std::size_t{1} << 20);
-    map.set_spill_synchronous(sync);
-    double total = 0.0;
-    double max_pause = 0.0;
-    std::size_t maintains = 0;
-    std::size_t i = 0;
-    while (i < uniq.size()) {
-      const std::size_t end = std::min(i + kChunk, uniq.size());
-      for (; i < end; ++i) map.insert(uniq[i], tt::hash_words(uniq[i]));
-      tt::Timer timer;
-      map.quiescent_maintain();
-      const double s = timer.seconds();
-      total += s;
-      max_pause = std::max(max_pause, s);
-      ++maintains;
-    }
-    tt::BenchRecord rec;
-    rec.engine = "seq";
-    rec.verdict = "ok";
-    rec.store = "lockfree";
-    rec.possibly_one_core = one_core;
-    rec.stats.states = uniq.size();
-    tt::mc::copy_store_stats(map, rec.stats);
-    const char* mode = sync ? "sync" : "async";
-    for (const bool is_max : {false, true}) {
-      rec.experiment = tt::strfmt("hotpath/maintain_pause%s/%s", is_max ? "_max" : "", mode);
-      rec.stats.seconds = is_max ? max_pause : total;
-      report.add(rec);
-    }
-    t.add_row({mode, std::to_string(uniq.size()), std::to_string(maintains),
-               tt::strfmt("%.5f", total), tt::strfmt("%.5f", max_pause),
-               std::to_string(rec.stats.spill_sync_waits),
-               std::to_string(rec.stats.spill_async_pages)});
+  tt::LockFreeStateIndexMap<kW> map(1);
+  map.set_mem_budget(std::size_t{1} << 20);
+  double total = 0.0;
+  double max_pause = 0.0;
+  std::size_t maintains = 0;
+  std::size_t i = 0;
+  while (i < uniq.size()) {
+    const std::size_t end = std::min(i + kChunk, uniq.size());
+    for (; i < end; ++i) map.insert(uniq[i], tt::hash_words(uniq[i]));
+    tt::Timer timer;
+    map.quiescent_maintain();
+    const double s = timer.seconds();
+    total += s;
+    max_pause = std::max(max_pause, s);
+    ++maintains;
   }
-  std::printf("%s", t.render().c_str());
-  if (one_core != 0) {
-    std::printf("(possibly-one-core runner: the I/O thread has no spare core to\n"
-                " overlap on, so the sync/async pause delta is not meaningful here.)\n");
+  tt::BenchRecord rec;
+  rec.engine = "seq";
+  rec.verdict = "ok";
+  rec.store = "lockfree";
+  rec.stats.states = uniq.size();
+  tt::mc::copy_store_stats(map, rec.stats);
+  for (const bool is_max : {false, true}) {
+    rec.experiment = is_max ? "hotpath/maintain_pause_max" : "hotpath/maintain_pause";
+    rec.stats.seconds = is_max ? max_pause : total;
+    report.add(rec);
   }
-  std::printf("\n");
+  t.add_row({std::to_string(uniq.size()), std::to_string(maintains), tt::strfmt("%.5f", total),
+             tt::strfmt("%.5f", max_pause), std::to_string(rec.stats.spill_bytes),
+             std::to_string(rec.stats.spill_sync_waits)});
+  std::printf("%s\n", t.render().c_str());
 #else
   (void)report;
   (void)uniq;

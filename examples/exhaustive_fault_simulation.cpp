@@ -37,17 +37,18 @@
 //                           all cores)
 //     --store <kind>        locked|lockfree explicit-state store backend
 //                           (default locked); lockfree adds closed-set
-//                           compression and write-behind spill to the
-//                           same owner-sharded inserts (DESIGN.md §3.9). Only
+//                           compression and an out-of-core spill file to
+//                           the same owner-sharded inserts (DESIGN.md §3.9). Only
 //                           seq/par/auto on invariant lemmas and par/auto
 //                           on liveness lemmas keep such a store; lockfree
 //                           anywhere else is a usage error (exit 2)
-//     --mem-budget-mb <mb>  in-RAM budget for the lockfree store: sealed
-//                           compressed pages past the budget spill to disk
-//                           asynchronously; counts and verdicts stay exact.
+//     --mem-budget-mb <mb>  in-RAM budget for the lockfree store: between
+//                           levels, the oldest sealed compressed pages past
+//                           the budget are written to disk and read back
+//                           from there; counts and verdicts stay exact.
 //                           A budget without --store lockfree is a usage
 //                           error (exit 2)
-//     --spill-dir <path>    directory for the per-shard spill files
+//     --spill-dir <path>    directory for the store's spill file
 //                           (default: TTSTART_SPILL_DIR, else TMPDIR, else
 //                           /tmp); an unwritable directory is a hard error,
 //                           never a silent /tmp fallback
@@ -55,6 +56,10 @@
 //                           Perfetto) of the run
 //     --progress <sec>      print a heartbeat line every <sec> seconds
 //     --quiet               suppress heartbeat lines (tracing unaffected)
+//
+//   Exit codes: 0 the lemma holds, 1 it is violated, 2 usage error, 3 a
+//   resource is exhausted (state-id space, or a spill write failed, e.g.
+//   on a full disk).
 #include <charconv>
 #include <cstdio>
 #include <cstring>
@@ -70,6 +75,7 @@
 
 #include "core/verifier.hpp"
 #include "obs/obs.hpp"
+#include "support/sharded_state_index_map.hpp"  // StateCapacityError
 #include "tta/trace_printer.hpp"
 
 namespace {
@@ -86,7 +92,7 @@ bool spill_dir_writable(const std::string& dir) {
   return ::access(dir.c_str(), W_OK | X_OK) == 0;
 #else
   (void)dir;
-  return true;  // defer to the spill writer's own error path
+  return true;  // defer to the spill file's own error path
 #endif
 }
 
@@ -154,7 +160,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--spill-dir") {
       if (i + 1 >= argc) return usage();
       opts.store.spill_dir = argv[++i];
-      // Fail fast, before hours of exploration: the spill writer would also
+      // Fail fast, before hours of exploration: the spill file would also
       // hard-error, but only once the budget forces the first spill.
       if (!spill_dir_writable(opts.store.spill_dir)) {
         std::fprintf(stderr, "error: spill directory '%s' is not a writable directory\n",
@@ -195,6 +201,9 @@ int main(int argc, char** argv) {
     // lemma or a reduced run) — a usage error, not a crash.
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
+  } catch (const StateCapacityError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 3;
   }
   std::printf("verdict: %s  (states=%zu transitions=%zu depth=%d time=%.2fs mem=%.1fMB)\n",
               result.verdict_text.c_str(), result.stats.states, result.stats.transitions,

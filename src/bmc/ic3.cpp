@@ -22,11 +22,14 @@ using sat::Lit;
 /// their conjunction. Blocking a cube adds the clause of its negation.
 using Cube = std::vector<std::pair<VarId, int>>;
 
+/// Caps past which the run gives up with kUnknown.
+constexpr int kMaxFrames = 4096;
+constexpr std::uint64_t kMaxObligations = 50'000'000;
+
 class Ic3 {
  public:
-  Ic3(const kernel::System& system, kernel::ExprId property, const Ic3Options& options)
+  Ic3(const kernel::System& system, kernel::ExprId property)
       : system_(system),
-        options_(options),
         unroller_(system, {.constrain_initial = false}) {
     unroller_.ensure_frames(2);
     p0_ = unroller_.bool_expr(property, 0);
@@ -57,7 +60,7 @@ class Ic3 {
       return finish(ProofVerdict::kViolated, 1, timer);
     }
 
-    while (top_level() < options_.max_frames) {
+    while (top_level() < kMaxFrames) {
       // Strengthen F_N until it satisfies the property.
       while (solver().solve(with_acts(top_level(), {~p0_})) == sat::Result::kSat) {
         const Outcome o = block_bad_state(unroller_.decode_frame(0));
@@ -256,7 +259,7 @@ class Ic3 {
       const auto [level, order, idx] = queue.top();
       queue.pop();
       ++result_.stats.proof_obligations;
-      if (result_.stats.proof_obligations > options_.max_obligations) return Outcome::kCapped;
+      if (result_.stats.proof_obligations > kMaxObligations) return Outcome::kCapped;
       if ((result_.stats.proof_obligations & 0xFF) == 0) {
         obs::progress_tick({.phase = "ic3",
                             .depth = top_level(),
@@ -308,7 +311,6 @@ class Ic3 {
   }
 
   const kernel::System& system_;
-  Ic3Options options_;
   Unroller unroller_;
   Lit p0_;
   Lit p1_;
@@ -319,9 +321,8 @@ class Ic3 {
 
 }  // namespace
 
-ProofResult check_invariant_ic3(const kernel::System& system, kernel::ExprId property,
-                                const Ic3Options& options) {
-  Ic3 engine(system, property, options);
+ProofResult check_invariant_ic3(const kernel::System& system, kernel::ExprId property) {
+  Ic3 engine(system, property);
   return engine.run();
 }
 

@@ -21,15 +21,10 @@
 
 namespace tt::bmc {
 
-struct Ic3Options {
-  int max_frames = 4096;                      ///< frame cap before kUnknown
-  std::uint64_t max_obligations = 50'000'000; ///< obligation cap before kUnknown
-};
-
 /// Proves or refutes G(property) over `system`. `property` is a boolean
-/// expression in the system's pool.
+/// expression in the system's pool. Gives up with kUnknown past 4096 frames
+/// or 50M proof obligations.
 [[nodiscard]] ProofResult check_invariant_ic3(const kernel::System& system,
-                                              kernel::ExprId property,
-                                              const Ic3Options& options = {});
+                                              kernel::ExprId property);
 
 }  // namespace tt::bmc

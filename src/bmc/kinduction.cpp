@@ -84,11 +84,8 @@ ProofResult check_invariant_kind(const kernel::System& system, kernel::ExprId pr
     if (k >= 1) {
       // P holds permanently at the previous frame (asserted once, kept).
       step.solver().add_clause({step.bool_expr(property, k - 1)});
-      if (options.simple_path) {
-        for (int j = 0; j < k; ++j) {
-          step.solver().add_clause({step.frames_differ(j, k)});
-        }
-      }
+      // Simple path: frame k differs from every earlier frame.
+      for (int j = 0; j < k; ++j) step.solver().add_clause({step.frames_differ(j, k)});
     }
     if (step.solver().solve({~step.bool_expr(property, k)}) == sat::Result::kUnsat) {
       return finish(ProofVerdict::kProved, k);

@@ -26,7 +26,6 @@ namespace tt::bmc {
 
 struct KindOptions {
   int max_k = 4096;              ///< cap on the induction depth
-  bool simple_path = true;       ///< add pairwise-distinct-frame constraints
   /// State budget for the lazily computed explicit reachability diameter
   /// (the completeness threshold). 0 disables the fallback entirely.
   std::size_t diameter_state_budget = 4'000'000;

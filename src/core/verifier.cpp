@@ -81,7 +81,7 @@ VerificationResult verify_with_proof_engine(const tta::ClusterConfig& cfg, Lemma
     }
     r = bmc::check_invariant_kind(ir.system(), property, kopt);
   } else {
-    r = bmc::check_invariant_ic3(ir.system(), property, {});
+    r = bmc::check_invariant_ic3(ir.system(), property);
   }
 
   out.holds = r.verdict == bmc::ProofVerdict::kProved;
@@ -209,18 +209,13 @@ VerificationResult verify(const tta::ClusterConfig& raw_cfg, Lemma lemma,
       mc::EngineOptions eopts(opts.limits);
       eopts.threads = opts.threads;
       eopts.store = opts.store;
-      if (reduced) {
-        eopts.finalize_stats = [&](mc::RunStats& st) { annotate_reduction_stats(cluster, st); };
-      }
       return recurrent ? mc::check_always_eventually_with(kind, cluster, goal, eopts)
                        : mc::check_eventually_with(kind, cluster, goal, eopts);
     }();
     out.holds = r.verdict == mc::LivenessVerdict::kHolds;
     out.exhausted = r.verdict != mc::LivenessVerdict::kLimit;
     out.stats = std::move(r.stats);
-    if (reduced && kind == mc::EngineKind::kSymbolic) {
-      annotate_reduction_stats(cluster, out.stats);
-    }
+    if (reduced) annotate_reduction_stats(cluster, out.stats);
     out.trace = std::move(r.trace);
     out.loop_start = r.loop_start;
     out.verdict_text = to_string(r.verdict);
@@ -261,19 +256,12 @@ VerificationResult verify(const tta::ClusterConfig& raw_cfg, Lemma lemma,
                    mc::EngineOptions eopts(opts.limits);
                    eopts.threads = opts.threads;
                    eopts.store = opts.store;
-                   if (reduced) {
-                     eopts.finalize_stats = [&](mc::RunStats& st) {
-                       annotate_reduction_stats(cluster, st);
-                     };
-                   }
                    return mc::check_invariant_with(kind, cluster, invariant, eopts);
                  }();
   out.holds = r.verdict == mc::Verdict::kHolds;
   out.exhausted = r.verdict != mc::Verdict::kLimit;
   out.stats = std::move(r.stats);
-  if (reduced && kind == mc::EngineKind::kSymbolic) {
-    annotate_reduction_stats(cluster, out.stats);
-  }
+  if (reduced) annotate_reduction_stats(cluster, out.stats);
   out.trace = std::move(r.trace);
   out.verdict_text = to_string(r.verdict);
   if (reduced) {

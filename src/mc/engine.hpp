@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdlib>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -114,7 +113,7 @@ enum class ReductionKind {
 /// kShardedLocked is the owner-sharded ShardedStateIndexMap (no lock: each
 /// shard has one writer at a time); kLockFree is LockFreeStateIndexMap, with
 /// the same insert contract plus delta compression of the closed set and the
-/// write-behind out-of-core spill tier (DESIGN.md §3.9). Both encode ids
+/// synchronous out-of-core spill tier (DESIGN.md §3.9). Both encode ids
 /// identically, so verdicts, counts and traces are bit-identical between
 /// them at any thread count.
 enum class StoreKind {
@@ -156,16 +155,6 @@ struct StoreOptions {
   std::string spill_dir;
 };
 
-/// Per-level progress snapshot handed to EngineOptions::progress. Invoked
-/// on the coordinating thread only, between levels — never concurrently.
-struct LevelProgress {
-  int depth = 0;             ///< level just completed (0-based BFS depth)
-  std::size_t states = 0;    ///< states interned so far
-  std::size_t transitions = 0;  ///< transitions explored so far
-  std::size_t frontier = 0;  ///< size of the next frontier (states)
-  double seconds = 0.0;      ///< elapsed wall-clock seconds since run start
-};
-
 /// Options common to every exploration engine.
 struct EngineOptions {
   EngineOptions() = default;
@@ -176,15 +165,6 @@ struct EngineOptions {
   int threads = 0;
   SearchLimits limits;
   StoreOptions store;
-  /// Called once per completed BFS level (from the coordinating thread).
-  /// Leave empty for no progress reporting.
-  std::function<void(const LevelProgress&)> progress;
-  /// Called once with the run's final RunStats, after exploration joined but
-  /// before the result is returned — the hook through which reduction-layer
-  /// counters (canon_ops, ample_sets, ...) reach the stats without the
-  /// engines knowing the transition system carries a reduction. Leave empty
-  /// for no annotation.
-  std::function<void(RunStats&)> finalize_stats;
 };
 
 /// Resolves a requested thread count: explicit > TTSTART_THREADS > hardware.

@@ -23,9 +23,8 @@ inline void trace_counters(const RunStats& st) {
 }
 
 /// Copies the store's cumulative counters into RunStats and marks the store
-/// section when the store keeps any (the lock-free store's compression /
-/// spill / Bloom columns and the out-of-core pipeline's async/sync-wait
-/// counters); a no-op for the locked store.
+/// section when the store keeps any (the lock-free store's compression,
+/// spill and Bloom columns); a no-op for the locked store.
 template <class Map>
 void copy_store_stats(const Map& seen, RunStats& stats) {
   if constexpr (requires { seen.store_stats(); }) {
@@ -34,7 +33,6 @@ void copy_store_stats(const Map& seen, RunStats& stats) {
     stats.spill_bytes = st.spill_bytes;
     stats.bloom_negatives = st.bloom_negatives;
     stats.spill_sync_waits = st.spill_sync_waits;
-    stats.spill_async_pages = st.spill_async_pages;
     stats.mark(Section::kStore);
   }
 }
@@ -56,12 +54,12 @@ void apply_store_options(Map& seen, const StoreOptions& store) {
 }
 
 /// Runs the store's between-levels maintenance (probe-table growth, closed-
-/// set sealing, write-behind spill) inside an obs span when the store has
+/// set sealing, spill past the budget) inside an obs span when the store has
 /// one. Must be called from the coordinating thread at a quiescent point;
 /// `expected_new` is a headroom hint for the next level's fresh states.
 /// While tracing, samples the store section's counters after each step, so
-/// a trace shows when the write-behind went asynchronous and when it
-/// stalled (the spill_async_pages / spill_sync_waits tracks).
+/// a trace shows which levels spilled (the spill_bytes / spill_sync_waits
+/// tracks).
 template <class Map>
 void maintain_store(Map& seen, std::size_t expected_new) {
   if constexpr (requires { seen.quiescent_maintain(std::size_t{}); }) {

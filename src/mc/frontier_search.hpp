@@ -518,10 +518,6 @@ class FrontierSearch {
     // pages, spill past the budget, grow the probe tables and the Bloom
     // filter with headroom for the coming level.
     maintain_store(seen_, frontier_.size() * 16);
-    if (opts_.progress) {
-      opts_.progress(LevelProgress{depth_ + 1, seen_.size(), stats_.transitions,
-                                   frontier_.size(), timer_.seconds()});
-    }
     obs::progress_tick({.phase = Hooks::kNames.progress,
                         .states = seen_.size(),
                         .transitions = stats_.transitions,

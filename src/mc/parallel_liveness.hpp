@@ -370,11 +370,9 @@ template <TransitionSystem TS, class Pred>
                                                        Pred&& goal,
                                                        const EngineOptions& opts = {}) {
   TT_ASSERT(kind != EngineKind::kSymbolic);
-  auto r = kind == EngineKind::kSequential
-               ? check_eventually(ts, std::forward<Pred>(goal), opts.limits)
-               : check_eventually_parallel(ts, std::forward<Pred>(goal), opts);
-  if (opts.finalize_stats) opts.finalize_stats(r.stats);
-  return r;
+  return kind == EngineKind::kSequential
+             ? check_eventually(ts, std::forward<Pred>(goal), opts.limits)
+             : check_eventually_parallel(ts, std::forward<Pred>(goal), opts);
 }
 
 template <TransitionSystem TS, class Pred>
@@ -382,11 +380,9 @@ template <TransitionSystem TS, class Pred>
                                                               Pred&& goal,
                                                               const EngineOptions& opts = {}) {
   TT_ASSERT(kind != EngineKind::kSymbolic);
-  auto r = kind == EngineKind::kSequential
-               ? check_always_eventually(ts, std::forward<Pred>(goal), opts.limits)
-               : check_always_eventually_parallel(ts, std::forward<Pred>(goal), opts);
-  if (opts.finalize_stats) opts.finalize_stats(r.stats);
-  return r;
+  return kind == EngineKind::kSequential
+             ? check_always_eventually(ts, std::forward<Pred>(goal), opts.limits)
+             : check_always_eventually_parallel(ts, std::forward<Pred>(goal), opts);
 }
 
 }  // namespace tt::mc

@@ -151,9 +151,7 @@ template <TransitionSystem TS, class Pred>
   TT_ASSERT(kind != EngineKind::kSymbolic);
   EngineOptions run_opts = opts;
   if (kind == EngineKind::kSequential) run_opts.threads = 1;
-  auto r = check_invariant_parallel(ts, std::forward<Pred>(holds), run_opts);
-  if (opts.finalize_stats) opts.finalize_stats(r.stats);
-  return r;
+  return check_invariant_parallel(ts, std::forward<Pred>(holds), run_opts);
 }
 
 }  // namespace tt::mc

@@ -80,19 +80,14 @@ struct RunStats {
   std::size_t cas_retries = 0;
   /// Lock-free store instrumentation (zero under the locked store):
   /// `pages_compressed` counts the arena pages sealed to delta form,
-  /// `spill_bytes` the compressed bytes evicted to the backing file, and
+  /// `spill_bytes` the compressed bytes evicted to the spill file,
   /// `bloom_negatives` the membership probes the Bloom front short-circuited
-  /// (DESIGN.md §3.7).
+  /// (DESIGN.md §3.7), and `spill_sync_waits` the maintain steps that wrote
+  /// pages, each of which blocks until its writes finish (DESIGN.md §3.9).
   std::size_t pages_compressed = 0;
   std::size_t spill_bytes = 0;
   std::size_t bloom_negatives = 0;
-  /// Out-of-core pipeline instrumentation (DESIGN.md §3.9; zero under the
-  /// locked store): `spill_async_pages` counts sealed pages handed to the
-  /// write-behind I/O thread without blocking, `spill_sync_waits` the
-  /// synchronous barriers taken when the budget was critically exceeded with
-  /// writes still in flight.
   std::size_t spill_sync_waits = 0;
-  std::size_t spill_async_pages = 0;
   /// Proof-engine instrumentation (zero for every exploratory engine):
   /// `solver_calls` counts SAT solve() invocations on the run's single
   /// incremental solver (for bounded BMC exactly one per depth probed),
@@ -135,7 +130,7 @@ struct RunStats {
   X(kBdd, bdd_peak_live_nodes) X(kBdd, bdd_gc_collections) X(kBdd, bdd_unique_hit_rate)   \
   X(kBdd, bdd_op_cache_hit_rate) X(kBdd, bdd_iterations)                                  \
   X(kStore, pages_compressed) X(kStore, spill_bytes) X(kStore, bloom_negatives)           \
-  X(kStore, spill_async_pages) X(kStore, spill_sync_waits)                                \
+  X(kStore, spill_sync_waits)                                                             \
   X(kOwcty, trim_rounds) X(kOwcty, residue_states)                                        \
   X(kReduction, canon_ops) X(kReduction, canon_swaps)                                     \
   X(kPor, ample_sets) X(kPor, pruned_combos) X(kPor, proviso_fallbacks)

@@ -19,17 +19,15 @@
 //      (odometer successor order), so this routinely shrinks the closed set
 //      severalfold while the probe fingerprints stay hot in the slot table.
 //
-//   3. Out-of-core write-behind spill (DESIGN.md §3.9). When memory_bytes()
-//      exceeds the configured budget, sealed pages are *enqueued* to a
-//      dedicated I/O thread (support/spill_writer.hpp) — one unlinked temp
-//      file per shard, each with its own append offset — and maintain
-//      returns without waiting for the writes. Page bodies stay resident
-//      until a later maintain step harvests their completions, so readers
-//      never race a tier change; the only synchronous barrier (counted in
-//      StoreStats::spill_sync_waits) is taken when the budget is still
-//      exceeded with writes in flight. One Bloom filter over the
-//      fingerprints of every shard absorbs definitely-absent membership
-//      probes. Runs whose closed set exceeds RAM finish with exact counts.
+//   3. Out-of-core spill (DESIGN.md §3.9). While memory_bytes() exceeds the
+//      configured budget, the maintain step writes the oldest sealed pages'
+//      delta streams to one unlinked, append-only file per store
+//      (support/spill_file.hpp), frees their bodies and reads them back
+//      through a read-only mapping. The writes are synchronous: the
+//      coordinator is the only writer, at a quiescent point. One Bloom
+//      filter over the fingerprints of every shard absorbs definitely-absent
+//      membership probes. Runs whose closed set exceeds RAM finish with
+//      exact counts.
 //
 // Id encoding matches ShardedStateIndexMap exactly — id = (local <<
 // log2(shards)) | shard, shard routing from the top hash-bit window
@@ -51,9 +49,9 @@
 //
 // Memory order: the engines separate write and read phases with a barrier,
 // which orders every insert's plain slot and arena stores before the next
-// phase's reads. Tier transitions (sealing, and the sealed→spilled flip after
-// a write becomes durable) and Bloom rebuilds happen only at quiescent
-// points, so the concurrent phases never observe one.
+// phase's reads. Tier transitions (sealing and eviction), remaps and Bloom
+// rebuilds happen only at quiescent points, so the concurrent phases never
+// observe one.
 #pragma once
 
 #include <array>
@@ -68,11 +66,11 @@
 #include "support/assert.hpp"
 #include "support/hash.hpp"
 #include "support/sharded_state_index_map.hpp"  // StateCapacityError
-#include "support/spill_writer.hpp"
+#include "support/spill_file.hpp"
 
-// Out-of-core support needs the POSIX pieces (SpillWriter::platform_supported
-// reports the same condition at runtime); kept as a macro so tests can
-// compile-guard the spill-tier expectations.
+// Out-of-core support needs the POSIX pieces (pwrite, mmap); without them a
+// budget is ignored. A macro so tests can compile-guard the spill-tier
+// expectations.
 #if defined(__unix__) || defined(__APPLE__)
 #define TT_LFSIM_HAS_SPILL 1
 #else
@@ -94,10 +92,9 @@ class LockFreeStateIndexMap {
   struct StoreStats {
     std::size_t pages_compressed = 0;  ///< arena pages sealed to delta form
     std::size_t pages_spilled = 0;     ///< page bodies evicted out of RAM
-    std::size_t spill_bytes = 0;       ///< compressed bytes handed to the writer
+    std::size_t spill_bytes = 0;       ///< compressed bytes written to the spill file
     std::size_t bloom_negatives = 0;   ///< finds short-circuited by the Bloom
-    std::size_t spill_sync_waits = 0;  ///< synchronous write-behind barriers
-    std::size_t spill_async_pages = 0; ///< pages enqueued without blocking
+    std::size_t spill_sync_waits = 0;  ///< maintain steps that wrote pages
   };
 
   /// Resident-byte accounting, component by component; memory_bytes() is
@@ -108,10 +105,9 @@ class LockFreeStateIndexMap {
     std::size_t raw_pages = 0;     ///< uncompressed arena pages
     std::size_t sealed_pages = 0;  ///< delta streams + anchor tables
     std::size_t bloom = 0;
-    std::size_t spill_writer = 0;  ///< ring + per-shard file metadata
 
     [[nodiscard]] std::size_t total() const noexcept {
-      return slots + raw_pages + sealed_pages + bloom + spill_writer;
+      return slots + raw_pages + sealed_pages + bloom;
     }
   };
 
@@ -175,7 +171,7 @@ class LockFreeStateIndexMap {
       throw StateCapacityError("LockFreeStateIndexMap: shard dense-id space exhausted");
     }
     const std::uint32_t local = sh.count;
-    if ((local & kPageOffMask) == 0) sh.pages.push_back(std::make_unique<Page>(idx));
+    if ((local & kPageOffMask) == 0) sh.pages.push_back(std::make_unique<Page>());
     sh.pages.back()->raw[local & kPageOffMask] = s;
     slot = (static_cast<std::uint64_t>(fp) << 32) | (local + 1);
     ++sh.count;
@@ -230,7 +226,6 @@ class LockFreeStateIndexMap {
       b.raw_pages += (sh.pages.size() - sh.sealed_pages) * kPageStates * sizeof(State);
     }
     if (bloom_mask_ != 0) b.bloom = (bloom_mask_ + 1) / 8;
-    if (writer_) b.spill_writer = writer_->memory_bytes();
     return b;
   }
 
@@ -262,13 +257,9 @@ class LockFreeStateIndexMap {
   /// Must be set before the first spill. An unwritable directory surfaces as
   /// StateCapacityError from the maintain step, never a silent /tmp fallback.
   void set_spill_dir(std::string dir) {
-    TT_REQUIRE(!writer_, "set_spill_dir must precede the first spill");
+    TT_REQUIRE(!spill_, "set_spill_dir must precede the first spill");
     spill_dir_ = std::move(dir);
   }
-
-  /// Forces every maintain step to wait for its spill writes (the pre-
-  /// write-behind behavior). Bench baseline dial; off by default.
-  void set_spill_synchronous(bool on) { spill_sync_ = on; }
 
   [[nodiscard]] StoreStats store_stats() const noexcept {
     StoreStats st = stats_;
@@ -279,24 +270,20 @@ class LockFreeStateIndexMap {
   /// The between-levels maintenance step; must be called with no concurrent
   /// access (the engines call it from the coordinator between barriers).
   ///
-  ///   1. Harvests write-behind completions from the I/O thread and flips
-  ///      the newly durable pages' tier (readers only ever see the flip
-  ///      after this quiescent point).
-  ///   2. Grows any shard whose table would exceed ~50% load after
+  ///   1. Grows any shard whose table would exceed ~50% load after
   ///      `expected_new_states` more inserts (rehash from fingerprints alone
   ///      — sealed states never need decoding to rehash). A headroom hint
   ///      only: insert() still grows a shard that outruns it.
-  ///   3. Grows/rebuilds the Bloom filter toward 16 bits per state; the
+  ///   2. Grows/rebuilds the Bloom filter toward 16 bits per state; the
   ///      only place it grows, since a rebuild reads every shard.
-  ///   4. Seals every full arena page whose states predate the *previous*
+  ///   3. Seals every full arena page whose states predate the *previous*
   ///      quiescent point (the current frontier stays raw for fast expand
   ///      reads) and delta-compresses it.
-  ///   5. Under a memory budget, enqueues sealed pages to the write-behind
-  ///      thread and frees the oldest *durable* bodies while over budget;
-  ///      takes the synchronous barrier only when still over budget with
-  ///      writes in flight (StoreStats::spill_sync_waits).
+  ///   4. While over a memory budget, writes the oldest sealed resident
+  ///      pages to the spill file, remaps it once and frees their bodies.
+  ///      A failed write throws StateCapacityError before any page of this
+  ///      step leaves RAM, so the store stays readable.
   void quiescent_maintain(std::size_t expected_new_states = 0) {
-    harvest_spill();
     const std::size_t expected_share =
         expected_new_states / shard_count() + expected_new_states / (4 * shard_count()) + 16;
     for (unsigned s = 0; s <= shard_mask_; ++s) {
@@ -321,48 +308,7 @@ class LockFreeStateIndexMap {
         ++sh.sealed_pages;
       }
     }
-    if (mem_budget_bytes_ != 0 && SpillWriter::platform_supported()) {
-      // Write-behind: hand every newly sealed page to the I/O thread and
-      // return; bodies stay resident (and readable) until their writes are
-      // durable *and* a later maintain step frees them.
-      const bool enqueue = enqueue_head_ < spill_queue_.size();
-      if (!writer_ && enqueue) writer_ = std::make_unique<SpillWriter>(shard_count(), spill_dir_);
-      for (; enqueue_head_ < spill_queue_.size(); ++enqueue_head_) {
-        Page* pg = spill_queue_[enqueue_head_];
-        const std::uint32_t len = static_cast<std::uint32_t>(pg->packed.size());
-        pg->spill_off = writer_->enqueue(pg->owner, pg->packed.data(), len,
-                                         reinterpret_cast<std::uint64_t>(pg));
-        pg->spill_len = len;
-        stats_.spill_bytes += len;
-        ++stats_.spill_async_pages;
-      }
-      if (spill_sync_ && enqueue) {
-        writer_->wait_idle();
-        ++stats_.spill_sync_waits;
-      }
-      harvest_spill();
-      while (memory_bytes() > mem_budget_bytes_ && free_head_ < spill_queue_.size()) {
-        Page* pg = spill_queue_[free_head_];
-        if (!pg->durable) {
-          // Budget critically exceeded with writes still in flight: the one
-          // place the write-behind pipeline takes a synchronous barrier.
-          writer_->wait_idle();
-          ++stats_.spill_sync_waits;
-          harvest_spill();
-          if (!pg->durable) break;  // writer failed; surfaced below
-        }
-        evict_page(*pg);
-        ++free_head_;
-      }
-      if (writer_) {
-        if (writer_->failed()) {
-          throw StateCapacityError("LockFreeStateIndexMap: " + writer_->error());
-        }
-        if (!writer_->remap_all()) {
-          throw StateCapacityError("LockFreeStateIndexMap: " + writer_->error());
-        }
-      }
-    }
+    if (TT_LFSIM_HAS_SPILL && mem_budget_bytes_ != 0) spill_over_budget();
   }
 
  private:
@@ -380,17 +326,11 @@ class LockFreeStateIndexMap {
   };
 
   struct Page {
-    explicit Page(unsigned shard)
-        : raw(std::make_unique<State[]>(kPageStates)), owner(shard) {}
-
-    std::unique_ptr<State[]> raw;        ///< kPageStates entries while kTierRaw
+    std::unique_ptr<State[]> raw = std::make_unique<State[]>(kPageStates);  ///< while kTierRaw
     State ref{};                         ///< delta reference once sealed
     std::vector<std::uint8_t> packed;    ///< mask+delta stream while kTierSealed
     std::vector<std::uint32_t> anchors;  ///< stream offset of every 8th state
-    std::uint64_t spill_off = 0;
-    std::uint32_t spill_len = 0;
-    unsigned owner = 0;     ///< owning shard = this page's spill file index
-    bool durable = false;   ///< write-behind completion harvested
+    std::uint64_t spill_off = 0;         ///< stream offset in the spill file
     std::uint8_t tier = kTierRaw;
   };
 
@@ -403,7 +343,7 @@ class LockFreeStateIndexMap {
     std::uint32_t prev_quiescent = 0;  ///< count at the previous maintain()
     std::uint32_t sealed_pages = 0;    ///< pages [0, sealed_pages) are sealed
     /// The arena. Pages are heap-allocated so their addresses stay stable
-    /// for spill_queue_ and the spill writer's completion cookies.
+    /// for spill_queue_.
     std::vector<std::unique_ptr<Page>> pages;
 
     void init(std::size_t initial_capacity) {
@@ -479,12 +419,8 @@ class LockFreeStateIndexMap {
   }
 
   void decode_into(const Page& pg, std::uint32_t off, State& out) const {
-    const std::uint8_t* base;
-    if (pg.tier == kTierSpilled) {
-      base = writer_->data(pg.owner, pg.spill_off, pg.spill_len);
-    } else {
-      base = pg.packed.data();
-    }
+    const std::uint8_t* base =
+        pg.tier == kTierSpilled ? spill_->data(pg.spill_off) : pg.packed.data();
     const std::uint8_t* q = base + pg.anchors[off >> kAnchorShift];
     for (std::uint32_t i = off & (kAnchorEvery - 1); i > 0; --i) q = skip_entry(q);
     out = pg.ref;
@@ -508,27 +444,33 @@ class LockFreeStateIndexMap {
     ++stats_.pages_compressed;
   }
 
-  /// Frees the resident body of a page whose write-behind job is durable.
+  /// Step 4 of quiescent_maintain. Evicting a page frees exactly its packed
+  /// capacity, so every page this step writes is known before the first
+  /// body is freed: all writes and the remap come first.
+  void spill_over_budget() {
+    const std::size_t resident = memory_bytes();
+    std::size_t end = spill_head_;
+    for (std::size_t freed = 0;
+         resident - freed > mem_budget_bytes_ && end < spill_queue_.size(); ++end) {
+      if (!spill_) spill_ = std::make_unique<SpillFile>(spill_dir_);
+      Page& pg = *spill_queue_[end];
+      pg.spill_off = spill_->append(pg.packed.data(), static_cast<std::uint32_t>(pg.packed.size()));
+      freed += pg.packed.capacity();
+    }
+    if (end == spill_head_) return;
+    spill_->remap();
+    for (; spill_head_ < end; ++spill_head_) evict_page(*spill_queue_[spill_head_]);
+    ++stats_.spill_sync_waits;
+  }
+
+  /// Frees the resident body of a page whose stream is in the spill file.
   void evict_page(Page& pg) {
     sealed_bytes_ -= pg.packed.capacity();
+    stats_.spill_bytes += pg.packed.size();
     pg.packed.clear();
     pg.packed.shrink_to_fit();
     pg.tier = kTierSpilled;  // anchors stay resident for random access
     ++stats_.pages_spilled;
-  }
-
-  /// Collects write-behind completions and marks their pages durable. The
-  /// tier flip to kTierSpilled happens later, in evict_page, and only at
-  /// quiescent points — concurrent readers never observe a transition.
-  void harvest_spill() {
-    if (!writer_) return;
-    harvest_buf_.clear();
-    writer_->harvest(harvest_buf_);
-    for (const SpillWriter::Completion& c : harvest_buf_) {
-      Page* pg = reinterpret_cast<Page*>(static_cast<std::uintptr_t>(c.cookie));
-      TT_ASSERT(pg->spill_off == c.offset && pg->spill_len == c.length);
-      pg->durable = true;
-    }
   }
 
   // ---- probe-table growth (the shard's owner, or quiescent) --------------
@@ -595,19 +537,13 @@ class LockFreeStateIndexMap {
 
   std::size_t mem_budget_bytes_ = 0;  ///< 0 = unlimited (never spill)
   std::vector<Page*> spill_queue_;    ///< sealed pages in seal order
-  std::size_t enqueue_head_ = 0;      ///< next page to hand to the writer
-  std::size_t free_head_ = 0;         ///< next durable page body to free
+  std::size_t spill_head_ = 0;        ///< next sealed page to evict
   std::string spill_dir_;             ///< --spill-dir override (may be empty)
-  bool spill_sync_ = false;           ///< bench dial: wait for every spill
-  std::vector<SpillWriter::Completion> harvest_buf_;
+  std::unique_ptr<SpillFile> spill_;  ///< created by the first eviction
 
   std::size_t sealed_bytes_ = 0;
   StoreStats stats_;
   mutable std::atomic<std::size_t> bloom_negatives_{0};
-
-  // Destroyed first (members are destroyed in reverse order), so the I/O
-  // thread is joined before the arena pages it reads are freed — keep last.
-  std::unique_ptr<SpillWriter> writer_;
 };
 
 }  // namespace tt

@@ -346,17 +346,6 @@ TEST(ParallelReachability, RepeatsOfAStateNewInItsLevelHitTheCache) {
   }
 }
 
-TEST(ParallelReachability, ProgressCallbackSeesEveryLevel) {
-  ToySystem ts({0}, {{1}, {2}, {3}, {4}, {4}});
-  EngineOptions opts;
-  opts.threads = 2;
-  std::vector<int> depths;
-  opts.progress = [&](const LevelProgress& p) { depths.push_back(p.depth); };
-  auto r = check_invariant_parallel(ts, [](const ToySystem::State&) { return true; }, opts);
-  EXPECT_EQ(r.verdict, Verdict::kHolds);
-  EXPECT_EQ(depths, (std::vector<int>{1, 2, 3, 4}));
-}
-
 TEST(ParallelReachability, FrontierSizesRecorded) {
   // 0 -> {1,2} -> {3,4} pattern: levels of size 1, 2, 2.
   ToySystem ts({0}, {{1, 2}, {3}, {4}, {3}, {4}});

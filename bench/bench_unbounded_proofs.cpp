@@ -127,7 +127,7 @@ void print_table(tt::BenchReport& report) {
 
   // IC3: refutation through the obligation queue on a tightened timeliness
   // bound (quick), frame-convergence proof on a reduced init window (full —
-  // the proof costs minutes, the refutation seconds).
+  // the proof costs about four times the refutation).
   {
     tt::tta::ClusterConfig cfg;
     cfg.n = 3;

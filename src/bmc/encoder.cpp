@@ -1,10 +1,12 @@
 #include "bmc/encoder.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/progress.hpp"
 #include "obs/trace.hpp"
 #include "support/assert.hpp"
+#include "support/hash.hpp"
 #include "support/timer.hpp"
 
 namespace tt::bmc {
@@ -62,80 +64,69 @@ Lit Unroller::var_bit(int t, VarId v, int val) const {
 }
 
 Lit Unroller::bool_expr(ExprId e, int t) {
-  TT_ASSERT(t < frames_);
-  const auto key = std::pair(e, t);
-  if (const auto it = bool_cache_.find(key); it != bool_cache_.end()) return it->second;
-  const ExprNode& n = system_.exprs().node(e);
-  Lit out = true_lit_;
-  switch (n.op) {
-    case Op::kEqC: out = int_eq(n.a, n.k, t); break;
-    case Op::kLtC:
-    case Op::kGeC: {
-      std::vector<Lit> alts;
-      const int dom = expr_domain(n.a);
-      for (int val = 0; val < dom; ++val) {
-        const bool in = n.op == Op::kLtC ? (val < n.k) : (val >= n.k);
-        if (in) alts.push_back(int_eq(n.a, val, t));
-      }
-      out = define_or(alts);
-      break;
-    }
-    case Op::kEqV: {
-      std::vector<Lit> alts;
-      const int dom = std::min(expr_domain(n.a), expr_domain(n.b));
-      for (int val = 0; val < dom; ++val) {
-        alts.push_back(define_and({int_eq(n.a, val, t), int_eq(n.b, val, t)}));
-      }
-      out = define_or(alts);
-      break;
-    }
-    case Op::kAnd: out = define_and({bool_expr(n.a, t), bool_expr(n.b, t)}); break;
-    case Op::kOr: out = define_or({bool_expr(n.a, t), bool_expr(n.b, t)}); break;
-    case Op::kNot: out = ~bool_expr(n.a, t); break;
-    case Op::kIte: {
-      const Lit c = bool_expr(n.c, t);
-      out = define_or({define_and({c, bool_expr(n.a, t)}),
-                       define_and({~c, bool_expr(n.b, t)})});
-      break;
-    }
-    default:
-      TT_REQUIRE(false, "integer expression used as boolean in BMC encoding");
-  }
-  bool_cache_.emplace(key, out);
-  return out;
+  const Op op = system_.exprs().node(e).op;
+  TT_REQUIRE(op != Op::kConst && op != Op::kVar && op != Op::kAddMod,
+             "integer expression used as boolean in BMC encoding");
+  return int_eq(e, 1, t);
 }
 
 Lit Unroller::int_eq(ExprId e, int val, int t) {
+  TT_ASSERT(t < frames_);
+  if (val < 0 || val >= expr_domain(e)) return ~true_lit_;
+  TT_ASSERT(e >= 0 && val < (1 << 16) && t < (1 << 16));
+  const std::uint64_t key = static_cast<std::uint64_t>(e) << 32 |
+                            static_cast<std::uint64_t>(val) << 16 |
+                            static_cast<std::uint64_t>(t);
+  if (const auto it = eq_lits_.find(key); it != eq_lits_.end()) return it->second;
+  const Lit out = encode_eq(e, val, t);
+  eq_lits_.emplace(key, out);
+  return out;
+}
+
+Lit Unroller::encode_eq(ExprId e, int val, int t) {
   const ExprNode& n = system_.exprs().node(e);
   switch (n.op) {
     case Op::kConst: return n.k == val ? true_lit_ : ~true_lit_;
-    case Op::kVar: {
-      const int dom = system_.vars()[static_cast<std::size_t>(n.var)].domain;
-      if (val < 0 || val >= dom) return ~true_lit_;
-      return var_bit(t, n.var, val);
-    }
+    case Op::kVar: return var_bit(t, n.var, val);
     case Op::kAddMod: {
-      if (val < 0 || val >= n.m) return ~true_lit_;
-      const int dom = expr_domain(n.a);
       // e.a may take any value w with (w + k) mod m == val.
       std::vector<Lit> alts;
-      for (int w = 0; w < dom; ++w) {
+      for (int w = 0; w < expr_domain(n.a); ++w) {
         if (((w + n.k) % n.m + n.m) % n.m == val) alts.push_back(int_eq(n.a, w, t));
       }
-      return define_or(alts);
+      return define_or(std::move(alts));
     }
     case Op::kIte: {
       const Lit c = bool_expr(n.c, t);
       return define_or({define_and({c, int_eq(n.a, val, t)}),
                         define_and({~c, int_eq(n.b, val, t)})});
     }
-    default: {
-      // Boolean expression used as 0/1 integer.
-      const Lit b = bool_expr(e, t);
-      if (val == 1) return b;
-      if (val == 0) return ~b;
-      return ~true_lit_;
+    default: break;
+  }
+  // A boolean expression; as a 0/1 integer, "e == 0" is "not e".
+  if (val == 0) return ~int_eq(e, 1, t);
+  switch (n.op) {
+    case Op::kEqC: return int_eq(n.a, n.k, t);
+    case Op::kLtC:
+    case Op::kGeC: {
+      std::vector<Lit> alts;
+      for (int w = 0; w < expr_domain(n.a); ++w) {
+        if (n.op == Op::kLtC ? (w < n.k) : (w >= n.k)) alts.push_back(int_eq(n.a, w, t));
+      }
+      return define_or(std::move(alts));
     }
+    case Op::kEqV: {
+      std::vector<Lit> alts;
+      const int dom = std::min(expr_domain(n.a), expr_domain(n.b));
+      for (int w = 0; w < dom; ++w) {
+        alts.push_back(define_and({int_eq(n.a, w, t), int_eq(n.b, w, t)}));
+      }
+      return define_or(std::move(alts));
+    }
+    case Op::kAnd: return define_and({bool_expr(n.a, t), bool_expr(n.b, t)});
+    case Op::kOr: return define_or({bool_expr(n.a, t), bool_expr(n.b, t)});
+    case Op::kNot: return ~bool_expr(n.a, t);
+    default: TT_ASSERT(false); return true_lit_;
   }
 }
 
@@ -161,9 +152,9 @@ Lit Unroller::frames_differ(int i, int j) {
           define_and({var_bit(i, static_cast<VarId>(v), val),
                       ~var_bit(j, static_cast<VarId>(v), val)}));
     }
-    any_diff.push_back(define_or(diff_v));
+    any_diff.push_back(define_or(std::move(diff_v)));
   }
-  return define_or(any_diff);
+  return define_or(std::move(any_diff));
 }
 
 std::vector<int> Unroller::decode_frame(int t) const {
@@ -181,30 +172,39 @@ std::vector<int> Unroller::decode_frame(int t) const {
   return v;
 }
 
-Lit Unroller::define_and(const std::vector<Lit>& xs) {
+std::size_t Unroller::LitsHash::operator()(const std::vector<Lit>& xs) const noexcept {
+  std::uint64_t h = xs.size();
+  for (const Lit x : xs) h = mix64(h ^ static_cast<std::uint64_t>(x.code()));
+  return static_cast<std::size_t>(h);
+}
+
+Lit Unroller::define_and(std::vector<Lit> xs) {
+  std::erase(xs, true_lit_);
+  std::sort(xs.begin(), xs.end(), [](Lit a, Lit b) { return a.code() < b.code(); });
+  xs.erase(std::unique(xs.begin(), xs.end()), xs.end());
+  // A literal and its complement sort next to each other (codes 2v, 2v+1),
+  // so adjacent pairs catch both x & ~x and a false (~true_lit_) input.
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    if (xs[i] == ~true_lit_ || (i > 0 && xs[i] == ~xs[i - 1])) return ~true_lit_;
+  }
   if (xs.empty()) return true_lit_;
   if (xs.size() == 1) return xs[0];
+  const auto [it, fresh] = and_gates_.try_emplace(xs, true_lit_);
+  if (!fresh) return it->second;
   const Lit d = Lit::make(solver_.new_var(), false);
+  it->second = d;
   std::vector<Lit> big{d};
   for (const Lit x : xs) {
     solver_.add_clause({~d, x});
     big.push_back(~x);
   }
-  solver_.add_clause(big);
+  solver_.add_clause(std::move(big));
   return d;
 }
 
-Lit Unroller::define_or(const std::vector<Lit>& xs) {
-  if (xs.empty()) return ~true_lit_;
-  if (xs.size() == 1) return xs[0];
-  const Lit d = Lit::make(solver_.new_var(), false);
-  std::vector<Lit> big{~d};
-  for (const Lit x : xs) {
-    solver_.add_clause({d, ~x});
-    big.push_back(x);
-  }
-  solver_.add_clause(big);
-  return d;
+Lit Unroller::define_or(std::vector<Lit> xs) {
+  for (Lit& x : xs) x = ~x;
+  return ~define_and(std::move(xs));
 }
 
 void Unroller::encode_initial() {

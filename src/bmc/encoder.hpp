@@ -9,6 +9,12 @@
 // variables are framed. Integer expressions are encoded through the
 // "expr == value" recursion, boolean ones through Tseitin definitions.
 //
+// Every gate is built once (DESIGN.md §3.10): "expr == value" literals are
+// memoized per (expression, value, frame), ORs are negated ANDs, and an AND
+// is looked up by its sorted input literals after constant inputs,
+// duplicates and complementary pairs are folded away. Kernel expressions
+// are interned, so one subterm shared by many guards costs one gate.
+//
 // The unrolling is *incremental* (DESIGN.md §3.10): one `Unroller` owns one
 // `sat::Solver` for the whole run, depth k+1 extends the k-frame formula
 // instead of re-encoding it, the per-depth goal `¬P@k` is passed as an
@@ -19,7 +25,8 @@
 // the paper "explores to increasing depths with a bounded model checker".
 #pragma once
 
-#include <map>
+#include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "kernel/system.hpp"
@@ -89,10 +96,18 @@ class Unroller {
   void encode_initial();
   void encode_transition(int t);
   void frame_equal(sat::Lit cond, kernel::VarId v, int t);
+  /// Literal of "e == val at frame t", memoized per (e, val, t).
   [[nodiscard]] sat::Lit int_eq(kernel::ExprId e, int val, int t);
+  [[nodiscard]] sat::Lit encode_eq(kernel::ExprId e, int val, int t);
   [[nodiscard]] int expr_domain(kernel::ExprId e) const;
-  sat::Lit define_and(const std::vector<sat::Lit>& xs);
-  sat::Lit define_or(const std::vector<sat::Lit>& xs);
+  /// The AND of `xs`: constants, duplicates and complementary pairs fold,
+  /// and an AND of the same input set returns its existing literal.
+  [[nodiscard]] sat::Lit define_and(std::vector<sat::Lit> xs);
+  [[nodiscard]] sat::Lit define_or(std::vector<sat::Lit> xs);
+
+  struct LitsHash {
+    std::size_t operator()(const std::vector<sat::Lit>& xs) const noexcept;
+  };
 
   const kernel::System& system_;
   Options opts_;
@@ -100,7 +115,8 @@ class Unroller {
   std::vector<std::vector<std::vector<int>>> bits_;  // [frame][var][value]
   int frames_ = 0;
   sat::Lit true_lit_;
-  std::map<std::pair<kernel::ExprId, int>, sat::Lit> bool_cache_;
+  std::unordered_map<std::uint64_t, sat::Lit> eq_lits_;  // (expr, value, frame) -> literal
+  std::unordered_map<std::vector<sat::Lit>, sat::Lit, LitsHash> and_gates_;  // sorted inputs
 };
 
 /// Checks the invariant G(property) of `system` up to `max_depth` frames.

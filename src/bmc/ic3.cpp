@@ -104,7 +104,6 @@ class Ic3 {
 
   struct Obligation {
     std::vector<int> state;  ///< full valuation (concrete, for exact traces)
-    int level = 0;
     int parent = -1;  ///< obligation whose state this one steps into
   };
 
@@ -244,7 +243,11 @@ class Ic3 {
   }
 
   /// Blocks the bad state `m` found in F_N, recursing through predecessors
-  /// via the proof-obligation queue.
+  /// via the proof-obligation queue. A blocked obligation is not forwarded to
+  /// the next frame: an obligation at level i stays there, so a chain that
+  /// reaches an initial state has exactly N steps. Since every F_i with
+  /// i < N over-approximates the states reachable in i steps and holds no
+  /// bad state, no counterexample is shorter: the trace is minimal.
   Outcome block_bad_state(std::vector<int> m) {
     std::vector<Obligation> pool;
     // Min-priority queue on (level, insertion order): lowest frames first,
@@ -252,7 +255,7 @@ class Ic3 {
     using Entry = std::tuple<int, std::uint64_t, int>;
     std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue;
     std::uint64_t seq = 0;
-    pool.push_back({std::move(m), top_level(), -1});
+    pool.push_back({std::move(m), -1});
     queue.emplace(top_level(), seq++, 0);
 
     while (!queue.empty()) {
@@ -280,17 +283,11 @@ class Ic3 {
       if (relative_query(level, c) == sat::Result::kSat) {
         // A predecessor in F_{level-1} reaches the obligation: chase it
         // first, then retry this obligation.
-        pool.push_back({unroller_.decode_frame(0), level - 1, idx});
+        pool.push_back({unroller_.decode_frame(0), idx});
         queue.emplace(level - 1, seq++, static_cast<int>(pool.size()) - 1);
         queue.emplace(level, seq++, idx);
       } else {
         block_cube_at(generalize(level, c), level);
-        if (level < top_level()) {
-          // Obligation forwarding: chase the same state at the next frame,
-          // deepening the strengthening (and finding deep counterexamples).
-          pool[static_cast<std::size_t>(idx)].level = level + 1;
-          queue.emplace(level + 1, seq++, idx);
-        }
       }
     }
     return Outcome::kBlocked;

@@ -154,9 +154,10 @@ TEST(Ic3, ProvesChainInvariantWithoutDiameterCrutch) {
 }
 
 TEST(ProofEngines, AgreeWithExplicitSearchOnTtaLite) {
-  // Violating configuration (babbling fault): both engines must refute;
-  // k-induction's base instance gives the minimal depth, IC3's trace must
-  // still be a real run ending in a bad state.
+  // Violating configuration (babbling fault): both engines must refute
+  // at the minimal depth (k-induction through its per-depth base instance,
+  // IC3 because a chain from frame N has exactly N steps) with a real run
+  // ending in a bad state.
   kernel::TtaLiteConfig bad;
   bad.n = 3;
   bad.init_window = 2;
@@ -178,7 +179,7 @@ TEST(ProofEngines, AgreeWithExplicitSearchOnTtaLite) {
 
   auto ic3 = check_invariant_ic3(model.system(), model.safety_expr());
   ASSERT_EQ(ic3.verdict, ProofVerdict::kViolated);
-  EXPECT_GE(ic3.depth, explicit_depth);  // IC3 traces need not be minimal
+  EXPECT_EQ(ic3.depth, explicit_depth);  // obligations are never forwarded
   ASSERT_FALSE(ic3.trace.empty());
   EXPECT_FALSE(model.safety(ic3.trace.back()));
   expect_trace_is_real(model.system(), ic3.trace);

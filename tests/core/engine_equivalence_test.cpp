@@ -534,27 +534,31 @@ TEST(Ic3Engine, ProvesReducedWindowSafetyCell) {
 }
 
 TEST(Ic3Engine, RefutesTightTimelinessBoundWithReplayableTrace) {
-  // Tightening the timeliness bound to 2 slots plants a violation a few
-  // levels deep — reachable for IC3's obligation queue in seconds.
-  GridCell cell{3, 1, true, Lemma::kTimeliness};
-  tta::ClusterConfig cfg = cell_config(cell);
-  cfg.timeliness_bound = 2;
+  // Tightening the timeliness bound to 1..3 slots plants a violation a few
+  // levels deep — reachable for IC3's obligation queue in seconds. Obligations
+  // are never forwarded past their frame, so IC3's counterexample is as
+  // short as the BFS one.
+  for (const int bound : {1, 2, 3}) {
+    SCOPED_TRACE("timeliness bound " + std::to_string(bound));
+    GridCell cell{3, 1, true, Lemma::kTimeliness};
+    tta::ClusterConfig cfg = cell_config(cell);
+    cfg.timeliness_bound = bound;
 
-  VerifyOptions seq_opts;
-  seq_opts.engine = mc::EngineKind::kSequential;
-  const auto seq = verify(cfg, Lemma::kTimeliness, seq_opts);
-  ASSERT_TRUE(seq.exhausted);
-  ASSERT_FALSE(seq.holds);
+    VerifyOptions seq_opts;
+    seq_opts.engine = mc::EngineKind::kSequential;
+    const auto seq = verify(cfg, Lemma::kTimeliness, seq_opts);
+    ASSERT_TRUE(seq.exhausted);
+    ASSERT_FALSE(seq.holds);
 
-  VerifyOptions opts;
-  opts.engine = mc::EngineKind::kIc3;
-  const auto proof = verify(cfg, Lemma::kTimeliness, opts);
-  EXPECT_FALSE(proof.holds) << proof.verdict_text;
-  EXPECT_GT(proof.stats.proof_obligations, 0u);
-  // IC3 obligation chains are real paths but not necessarily shortest ones,
-  // so replay validity (not length) is the trace contract.
-  expect_valid_counterexample(prepare_config(cfg, Lemma::kTimeliness), proof.trace,
-                              Lemma::kTimeliness, "ic3");
+    VerifyOptions opts;
+    opts.engine = mc::EngineKind::kIc3;
+    const auto proof = verify(cfg, Lemma::kTimeliness, opts);
+    EXPECT_FALSE(proof.holds) << proof.verdict_text;
+    EXPECT_GT(proof.stats.proof_obligations, 0u);
+    EXPECT_EQ(proof.stats.depth, seq.stats.depth);
+    expect_valid_counterexample(prepare_config(cfg, Lemma::kTimeliness), proof.trace,
+                                Lemma::kTimeliness, "ic3");
+  }
 }
 
 TEST(ProofEngineHub, Safety2FaultyHubProvedByKind) {

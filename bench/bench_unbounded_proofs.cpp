@@ -72,7 +72,8 @@ tt::tta::ClusterConfig clique_config(int n) {
 void add_proof_record(tt::BenchReport& report, const std::string& experiment,
                       const tt::core::VerificationResult& r) {
   auto rec = tt::record_of(experiment, r);
-  rec.verdict = r.verdict_text;
+  // A counterexample row carries its depth, as the clique row does.
+  rec.verdict = r.trace.empty() ? r.verdict_text : tt::strfmt("VIOLATED@%d", r.stats.depth);
   report.add(rec);
 }
 

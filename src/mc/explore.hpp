@@ -23,15 +23,14 @@ inline void trace_counters(const RunStats& st) {
 }
 
 /// Copies the store's cumulative counters into RunStats and marks the store
-/// section when the store keeps any (the lock-free store's compression,
-/// spill and Bloom columns); a no-op for the locked store.
+/// section when the store keeps any (the lock-free store's compression and
+/// spill columns); a no-op for the locked store.
 template <class Map>
 void copy_store_stats(const Map& seen, RunStats& stats) {
   if constexpr (requires { seen.store_stats(); }) {
     const auto st = seen.store_stats();
     stats.pages_compressed = st.pages_compressed;
     stats.spill_bytes = st.spill_bytes;
-    stats.bloom_negatives = st.bloom_negatives;
     stats.spill_sync_waits = st.spill_sync_waits;
     stats.mark(Section::kStore);
   }
@@ -53,19 +52,18 @@ void apply_store_options(Map& seen, const StoreOptions& store) {
   }
 }
 
-/// Runs the store's between-levels maintenance (probe-table growth, closed-
-/// set sealing, spill past the budget) inside an obs span when the store has
-/// one. Must be called from the coordinating thread at a quiescent point;
-/// `expected_new` is a headroom hint for the next level's fresh states.
+/// Runs the store's between-levels maintenance (closed-set sealing, spill
+/// past the budget) inside an obs span when the store has one. Must be
+/// called from the coordinating thread at a quiescent point.
 /// While tracing, samples the store section's counters after each step, so
 /// a trace shows which levels spilled (the spill_bytes / spill_sync_waits
 /// tracks).
 template <class Map>
-void maintain_store(Map& seen, std::size_t expected_new) {
-  if constexpr (requires { seen.quiescent_maintain(std::size_t{}); }) {
+void maintain_store(Map& seen) {
+  if constexpr (requires { seen.quiescent_maintain(); }) {
     {
       obs::Span span("store.maintain");
-      seen.quiescent_maintain(expected_new);
+      seen.quiescent_maintain();
     }
     if (obs::enabled()) {
       RunStats st;

@@ -286,7 +286,7 @@ class FrontierSearch {
       limit_hit_ = true;
       return;
     }
-    maintain_store(seen_, frontier_.size() * 16);  // headroom for level 1
+    maintain_store(seen_);
     level_span_.begin(Hooks::kNames.level, depth_, "depth");
     do {
       if (parallel(frontier_.size())) {
@@ -515,9 +515,8 @@ class FrontierSearch {
     if (frontier_.empty()) return true;  // reachable set exhausted
     stats_.frontier_sizes.push_back(frontier_.size());
     // The store is quiescent between drain and the next expand: seal closed
-    // pages, spill past the budget, grow the probe tables and the Bloom
-    // filter with headroom for the coming level.
-    maintain_store(seen_, frontier_.size() * 16);
+    // pages and spill past the budget.
+    maintain_store(seen_);
     obs::progress_tick({.phase = Hooks::kNames.progress,
                         .states = seen_.size(),
                         .transitions = stats_.transitions,

@@ -80,13 +80,11 @@ struct RunStats {
   std::size_t cas_retries = 0;
   /// Lock-free store instrumentation (zero under the locked store):
   /// `pages_compressed` counts the arena pages sealed to delta form,
-  /// `spill_bytes` the compressed bytes evicted to the spill file,
-  /// `bloom_negatives` the membership probes the Bloom front short-circuited
-  /// (DESIGN.md §3.7), and `spill_sync_waits` the maintain steps that wrote
-  /// pages, each of which blocks until its writes finish (DESIGN.md §3.9).
+  /// `spill_bytes` the compressed bytes evicted to the spill file, and
+  /// `spill_sync_waits` the maintain steps that wrote pages, each of which
+  /// blocks until its writes finish (DESIGN.md §3.9).
   std::size_t pages_compressed = 0;
   std::size_t spill_bytes = 0;
-  std::size_t bloom_negatives = 0;
   std::size_t spill_sync_waits = 0;
   /// Proof-engine instrumentation (zero for every exploratory engine):
   /// `solver_calls` counts SAT solve() invocations on the run's single
@@ -129,8 +127,7 @@ struct RunStats {
   X(kProof, proof_obligations)                                                            \
   X(kBdd, bdd_peak_live_nodes) X(kBdd, bdd_gc_collections) X(kBdd, bdd_unique_hit_rate)   \
   X(kBdd, bdd_op_cache_hit_rate) X(kBdd, bdd_iterations)                                  \
-  X(kStore, pages_compressed) X(kStore, spill_bytes) X(kStore, bloom_negatives)           \
-  X(kStore, spill_sync_waits)                                                             \
+  X(kStore, pages_compressed) X(kStore, spill_bytes) X(kStore, spill_sync_waits)          \
   X(kOwcty, trim_rounds) X(kOwcty, residue_states)                                        \
   X(kReduction, canon_ops) X(kReduction, canon_swaps)                                     \
   X(kPor, ample_sets) X(kPor, pruned_combos) X(kPor, proviso_fallbacks)

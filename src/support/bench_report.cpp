@@ -118,7 +118,7 @@ std::string BenchReport::write() {
     std::fprintf(stderr, "ttstart: cannot write %s\n", path.c_str());
     return {};
   }
-  out << "{\n  \"schema\": \"ttstart-bench-v11\",\n  \"results\": [\n";
+  out << "{\n  \"schema\": \"ttstart-bench-v12\",\n  \"results\": [\n";
   bool first = true;
   for (const std::string& rec : kept) {
     out << (first ? "    " : ",\n    ") << rec;

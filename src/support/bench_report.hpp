@@ -14,7 +14,7 @@
 
 namespace tt {
 
-/// One measurement row of the ttstart-bench-v11 schema (the `experiment`
+/// One measurement row of the ttstart-bench-v12 schema (the `experiment`
 /// keys are the ones EXPERIMENTS.md's claim→command table points at). The
 /// run columns (threads, states, transitions, seconds, exhausted) and the
 /// counter columns come from `stats`: one column per counter of each section

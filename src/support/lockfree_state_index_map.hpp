@@ -24,9 +24,9 @@
 //      delta streams to one unlinked, append-only file per store
 //      (support/spill_file.hpp), frees their bodies and reads them back
 //      through a read-only mapping. The writes are synchronous: the
-//      coordinator is the only writer, at a quiescent point. One Bloom
-//      filter over the fingerprints of every shard absorbs definitely-absent
-//      membership probes. Runs whose closed set exceeds RAM finish with
+//      coordinator is the only writer, at a quiescent point. A probe for an
+//      absent state decodes a sealed or spilled state only on a 32-bit
+//      fingerprint match. Runs whose closed set exceeds RAM finish with
 //      exact counts.
 //
 // Id encoding matches ShardedStateIndexMap exactly — id = (local <<
@@ -38,8 +38,7 @@
 //   * insert()        — inserts to *different* shards may run concurrently;
 //                       each shard admits one writer at a time. The frontier
 //                       engines' drain phase gives every shard to exactly one
-//                       thread. The only memory two shard owners share is the
-//                       Bloom filter, whose bits are set with atomic fetch_or.
+//                       thread. Shard owners share no memory at all.
 //   * find()/at()     — plain reads; safe concurrently with each other, never
 //                       with an insert to the same shard (the level-
 //                       synchronous engines read only between write phases).
@@ -49,13 +48,11 @@
 //
 // Memory order: the engines separate write and read phases with a barrier,
 // which orders every insert's plain slot and arena stores before the next
-// phase's reads. Tier transitions (sealing and eviction), remaps and Bloom
-// rebuilds happen only at quiescent points, so the concurrent phases never
-// observe one.
+// phase's reads. Tier transitions (sealing and eviction) and remaps happen
+// only at quiescent points, so the concurrent phases never observe one.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -93,7 +90,6 @@ class LockFreeStateIndexMap {
     std::size_t pages_compressed = 0;  ///< arena pages sealed to delta form
     std::size_t pages_spilled = 0;     ///< page bodies evicted out of RAM
     std::size_t spill_bytes = 0;       ///< compressed bytes written to the spill file
-    std::size_t bloom_negatives = 0;   ///< finds short-circuited by the Bloom
     std::size_t spill_sync_waits = 0;  ///< maintain steps that wrote pages
   };
 
@@ -104,10 +100,9 @@ class LockFreeStateIndexMap {
     std::size_t slots = 0;         ///< probe tables across all shards
     std::size_t raw_pages = 0;     ///< uncompressed arena pages
     std::size_t sealed_pages = 0;  ///< delta streams + anchor tables
-    std::size_t bloom = 0;
 
     [[nodiscard]] std::size_t total() const noexcept {
-      return slots + raw_pages + sealed_pages + bloom;
+      return slots + raw_pages + sealed_pages;
     }
   };
 
@@ -175,7 +170,6 @@ class LockFreeStateIndexMap {
     sh.pages.back()->raw[local & kPageOffMask] = s;
     slot = (static_cast<std::uint64_t>(fp) << 32) | (local + 1);
     ++sh.count;
-    bloom_add(fp);
     return {id_of(idx, local), true};
   }
 
@@ -186,16 +180,11 @@ class LockFreeStateIndexMap {
 
   [[nodiscard]] std::uint32_t find(const State& s) const { return find(s, hash_words(s)); }
 
-  /// Hash-once lookup; Bloom-fronted, then the probe walk.
+  /// Hash-once lookup: the probe walk of `s`'s shard.
   [[nodiscard]] std::uint32_t find(const State& s, std::uint64_t h) const {
-    const auto fp = static_cast<std::uint32_t>(h);
-    if (bloom_mask_ != 0 && !bloom_maybe(fp)) {
-      bloom_negatives_.fetch_add(1, std::memory_order_relaxed);
-      return kEmpty;
-    }
     const unsigned idx = shard_of(h);
     const Shard& sh = shards_[idx];
-    const std::uint64_t v = sh.slots[probe(sh, fp, s)];
+    const std::uint64_t v = sh.slots[probe(sh, static_cast<std::uint32_t>(h), s)];
     return v == 0 ? kEmpty : id_of(idx, static_cast<std::uint32_t>(v) - 1);
   }
 
@@ -225,7 +214,6 @@ class LockFreeStateIndexMap {
       b.slots += sh.slots.size() * sizeof(std::uint64_t);
       b.raw_pages += (sh.pages.size() - sh.sealed_pages) * kPageStates * sizeof(State);
     }
-    if (bloom_mask_ != 0) b.bloom = (bloom_mask_ + 1) / 8;
     return b;
   }
 
@@ -235,8 +223,8 @@ class LockFreeStateIndexMap {
     return memory_breakdown().total();
   }
 
-  /// Pre-sizes every shard for `total_states` overall (25% skew margin) and
-  /// builds the Bloom front. Not thread-safe; call before exploration.
+  /// Pre-sizes every shard for `total_states` overall (25% skew margin).
+  /// Not thread-safe; call before exploration.
   void reserve(std::size_t total_states) {
     const std::size_t per_shard =
         total_states / shard_count() + total_states / (4 * shard_count()) + 64;
@@ -246,7 +234,6 @@ class LockFreeStateIndexMap {
       while ((per_shard + 1) * 10 >= cap * 7) cap <<= 1;
       if (cap != sh.mask + 1) grow_shard(sh, cap);
     }
-    grow_bloom_for(total_states);
   }
 
   /// Sets the resident-memory budget in bytes (0 = unlimited). Sealed pages
@@ -261,42 +248,24 @@ class LockFreeStateIndexMap {
     spill_dir_ = std::move(dir);
   }
 
-  [[nodiscard]] StoreStats store_stats() const noexcept {
-    StoreStats st = stats_;
-    st.bloom_negatives = bloom_negatives_.load(std::memory_order_relaxed);
-    return st;
-  }
+  [[nodiscard]] StoreStats store_stats() const noexcept { return stats_; }
 
   /// The between-levels maintenance step; must be called with no concurrent
   /// access (the engines call it from the coordinator between barriers).
   ///
-  ///   1. Grows any shard whose table would exceed ~50% load after
-  ///      `expected_new_states` more inserts (rehash from fingerprints alone
-  ///      — sealed states never need decoding to rehash). A headroom hint
-  ///      only: insert() still grows a shard that outruns it.
-  ///   2. Grows/rebuilds the Bloom filter toward 16 bits per state; the
-  ///      only place it grows, since a rebuild reads every shard.
-  ///   3. Seals every full arena page whose states predate the *previous*
+  /// Probe tables are not touched here: insert() grows a shard's own table
+  /// inline at 70% load.
+  ///
+  ///   1. Seals every full arena page whose states predate the *previous*
   ///      quiescent point (the current frontier stays raw for fast expand
   ///      reads) and delta-compresses it.
-  ///   4. While over a memory budget, writes the oldest sealed resident
+  ///   2. While over a memory budget, writes the oldest sealed resident
   ///      pages to the spill file, remaps it once and frees their bodies.
   ///      A failed write throws StateCapacityError before any page of this
   ///      step leaves RAM, so the store stays readable.
-  void quiescent_maintain(std::size_t expected_new_states = 0) {
-    const std::size_t expected_share =
-        expected_new_states / shard_count() + expected_new_states / (4 * shard_count()) + 16;
-    for (unsigned s = 0; s <= shard_mask_; ++s) {
-      Shard& sh = shards_[s];
-      const std::size_t need = sh.count + expected_share;
-      std::size_t cap = sh.mask + 1;
-      while ((need + 1) * 2 >= cap) cap <<= 1;  // target load <= ~0.5 post-growth
-      if (cap != sh.mask + 1) grow_shard(sh, cap);
-    }
-    const std::size_t total = size();
-    if (bloom_mask_ == 0 || total * 16 > bloom_mask_ + 1) {
-      grow_bloom_for(total + total / 2 + 1024);
-    }
+  ///
+  /// The argument is unused; benchmark/replay.hpp passes it.
+  void quiescent_maintain(std::size_t /*unused*/ = 0) {
     for (unsigned s = 0; s <= shard_mask_; ++s) {
       Shard& sh = shards_[s];
       const std::uint32_t sealable_limit = sh.prev_quiescent;
@@ -444,7 +413,7 @@ class LockFreeStateIndexMap {
     ++stats_.pages_compressed;
   }
 
-  /// Step 4 of quiescent_maintain. Evicting a page frees exactly its packed
+  /// Step 2 of quiescent_maintain. Evicting a page frees exactly its packed
   /// capacity, so every page this step writes is known before the first
   /// body is freed: all writes and the remap come first.
   void spill_over_budget() {
@@ -491,49 +460,10 @@ class LockFreeStateIndexMap {
     sh.mask = mask;
   }
 
-  // ---- Bloom front -------------------------------------------------------
-  // One filter for all shards, two bits per state derived from mix64(fp) —
-  // rebuildable from the slot words alone. Sized toward 16 bits/state
-  // (~1.4% false-maybe rate). Owners of different shards may set bits in
-  // the same word, hence the atomic fetch_or.
-
-  void bloom_add(std::uint32_t fp) {
-    if (bloom_mask_ == 0) return;
-    const std::uint64_t g = mix64(fp);
-    const std::size_t p1 = g & bloom_mask_;
-    const std::size_t p2 = (g >> 32) & bloom_mask_;
-    bloom_[p1 >> 6].fetch_or(1ull << (p1 & 63), std::memory_order_relaxed);
-    bloom_[p2 >> 6].fetch_or(1ull << (p2 & 63), std::memory_order_relaxed);
-  }
-
-  [[nodiscard]] bool bloom_maybe(std::uint32_t fp) const {
-    const std::uint64_t g = mix64(fp);
-    const std::size_t p1 = g & bloom_mask_;
-    const std::size_t p2 = (g >> 32) & bloom_mask_;
-    return ((bloom_[p1 >> 6].load(std::memory_order_relaxed) >> (p1 & 63)) & 1) != 0 &&
-           ((bloom_[p2 >> 6].load(std::memory_order_relaxed) >> (p2 & 63)) & 1) != 0;
-  }
-
-  void grow_bloom_for(std::size_t states) {
-    std::size_t bits = 1 << 14;
-    while (bits < states * 16) bits <<= 1;
-    if (bloom_mask_ != 0 && bits <= bloom_mask_ + 1) return;
-    bloom_ = std::make_unique<std::atomic<std::uint64_t>[]>(bits / 64);  // value-init
-    bloom_mask_ = bits - 1;
-    for (unsigned s = 0; s <= shard_mask_; ++s) {
-      for (const std::uint64_t v : shards_[s].slots) {
-        if (v != 0) bloom_add(static_cast<std::uint32_t>(v >> 32));
-      }
-    }
-  }
-
   std::unique_ptr<Shard[]> shards_;
   unsigned shard_bits_ = 0;
   unsigned shard_mask_ = 0;
   std::uint64_t local_limit_ = 0;
-
-  std::unique_ptr<std::atomic<std::uint64_t>[]> bloom_;
-  std::size_t bloom_mask_ = 0;
 
   std::size_t mem_budget_bytes_ = 0;  ///< 0 = unlimited (never spill)
   std::vector<Page*> spill_queue_;    ///< sealed pages in seal order
@@ -543,7 +473,6 @@ class LockFreeStateIndexMap {
 
   std::size_t sealed_bytes_ = 0;
   StoreStats stats_;
-  mutable std::atomic<std::size_t> bloom_negatives_{0};
 };
 
 }  // namespace tt

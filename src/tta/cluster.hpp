@@ -196,11 +196,18 @@ class Cluster {
   /// over cfg_.
   const Canonicalizer canon_;
   const PartialOrderReducer reducer_;
+  /// Every successors() call bumps these from every worker. The padding
+  /// keeps them off the cache lines of reducer_ and the layout fields below
+  /// wherever the Cluster lands (sharing a line would make each bump evict
+  /// what every pack reads). Padding, not alignas: an over-aligned Cluster
+  /// needs an aligned operator new, which measurably slowed cell set-up.
+  char counters_pad_front_[64] = {};
   mutable std::atomic<std::uint64_t> canon_ops_{0};
   mutable std::atomic<std::uint64_t> canon_swaps_{0};
   mutable std::atomic<std::uint64_t> por_ample_{0};
   mutable std::atomic<std::uint64_t> por_pruned_{0};
   mutable std::atomic<std::uint64_t> por_declined_{0};
+  char counters_pad_back_[64] = {};
   int counter_bits_ = 0;
   int pos_bits_ = 0;
   int node_bits_ = 0;  ///< one node record: state, counter, pos, big_bang

@@ -414,9 +414,9 @@ TEST(ParallelReachability, LockFreeStoreSpillsUnderBudgetWithExactCounts) {
 
 TEST(ParallelReachability, BothStoresGrowMidLevelThroughAStarBurst) {
   // Star burst: 600 hubs (past the serial-drain cutoff of 128 * threads), each
-  // fanning out to 400 unique leaves — 240000 fresh states in one level, ~25x
-  // the maintain headroom hint. Each drain owner grows its own shards' tables
-  // inline, so both stores finish with the exact count.
+  // fanning out to 400 unique leaves — 240000 fresh states in one level.
+  // Each drain owner grows its own shards' tables inline, so both stores
+  // finish with the exact count.
   constexpr std::uint64_t kHubs = 600, kFan = 400;
   std::vector<std::vector<std::uint64_t>> adj(1 + kHubs + kHubs * kFan);
   for (std::uint64_t h = 0; h < kHubs; ++h) {

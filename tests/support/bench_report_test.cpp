@@ -97,7 +97,7 @@ TEST_F(BenchReportTest, EscapesStringsUnderTheV9SchemaLine) {
   write("bench_\"a\"", {record("quote\"back\\slash\nline\t")});
   const auto l = lines();
   ASSERT_EQ(l.size(), 6u);
-  EXPECT_EQ(l[1], "  \"schema\": \"ttstart-bench-v11\",");
+  EXPECT_EQ(l[1], "  \"schema\": \"ttstart-bench-v12\",");
   EXPECT_NE(l[3].find("{\"bench\": \"bench_\\\"a\\\"\", "
                       "\"experiment\": \"quote\\\"back\\\\slash\\u000aline\\u0009\""),
             std::string::npos);

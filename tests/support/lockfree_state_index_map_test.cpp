@@ -105,9 +105,8 @@ TEST(LockFreeStateIndexMap, DeterministicIdsAcrossRuns) {
 // The drain-phase contract, and a TSan target: k threads each own the shards
 // s with s % k == w and insert, in stream order, only the stream entries of
 // their shards. A tiny initial capacity makes every shard grow its table
-// mid-phase, and the Bloom front is built first, so owners of different
-// shards set bits in shared Bloom words. Ids must equal a serial insert of
-// the same stream at every k.
+// mid-phase; owners of different shards share no memory. Ids must equal a
+// serial insert of the same stream at every k.
 TEST(LockFreeStateIndexMap, OwnerExclusiveInsertsMatchSerialIds) {
   constexpr unsigned kShards = 16;
   std::vector<Map2::State> stream;
@@ -122,7 +121,6 @@ TEST(LockFreeStateIndexMap, OwnerExclusiveInsertsMatchSerialIds) {
 
   for (const unsigned k : {1u, 2u, 4u}) {
     Map2 map(kShards, 16);
-    map.quiescent_maintain();  // builds the Bloom front
     const std::size_t slots_before = map.memory_breakdown().slots;
     std::vector<std::uint32_t> got(stream.size());
     auto own = [&](unsigned w) {
@@ -177,9 +175,10 @@ TEST(LockFreeStateIndexMap, SealedPagesRoundTripThroughDecoding) {
 
 #if TT_LFSIM_HAS_SPILL
 // Out-of-core exactness: a byte budget far below the resident set forces
-// sealed pages onto disk; every state must still read back exactly and the
-// spill counters must say so. TTSTART_SPILL_DIR is honored by the backing
-// file (exercised here via TMPDIR fallback — no assertion on the path).
+// sealed pages onto disk; every state must still read back exactly, every
+// absent state must still miss, and the spill counters must say so.
+// TTSTART_SPILL_DIR is honored by the backing file (exercised here via
+// TMPDIR fallback — no assertion on the path).
 TEST(LockFreeStateIndexMap, SpilledPagesReadBackExactly) {
   constexpr std::uint64_t kStates = 9000;
   Map2 map;
@@ -199,6 +198,8 @@ TEST(LockFreeStateIndexMap, SpilledPagesReadBackExactly) {
     const auto s = make_state(i * 7, i ^ 0xdeadbeef);
     ASSERT_EQ(map.at(ids[i]), s) << "i=" << i;
     ASSERT_EQ(map.find(s), ids[i]) << "i=" << i;
+    // A first word that is no multiple of 7 was never inserted.
+    ASSERT_EQ(map.find(make_state(i * 7 + 1, i ^ 0xdeadbeef)), Map2::kEmpty) << "i=" << i;
   }
   EXPECT_EQ(map.size(), kStates);
 }
@@ -312,9 +313,9 @@ TEST(LockFreeStateIndexMap, ConcurrentFindsRaceInFlightAsyncSpillWrites) {
 #endif  // TT_LFSIM_HAS_SPILL
 
 // Accounting regression: memory_bytes() must be exactly the sum of the
-// breakdown components (the budget enforcement compares memory_bytes()
-// against the budget, so a component silently dropping out of the sum would
-// under-enforce it).
+// three breakdown components — probe tables, raw pages and sealed pages (the
+// budget enforcement compares memory_bytes() against the budget, so a
+// component silently dropping out of the sum would under-enforce it).
 TEST(LockFreeStateIndexMap, MemoryBytesIsExactlyTheBreakdownSum) {
   Map2 map(4);
   for (std::uint64_t i = 0; i < 6000; ++i) map.insert(make_state(i, i * 31));
@@ -322,7 +323,7 @@ TEST(LockFreeStateIndexMap, MemoryBytesIsExactlyTheBreakdownSum) {
   map.quiescent_maintain();
   const auto b = map.memory_breakdown();
   EXPECT_EQ(map.memory_bytes(),
-            b.slots + b.raw_pages + b.sealed_pages + b.bloom);
+            b.slots + b.raw_pages + b.sealed_pages);
   EXPECT_EQ(map.memory_bytes(), b.total());
   EXPECT_GT(b.slots, 0u);
   EXPECT_GT(b.raw_pages, 0u);
@@ -355,26 +356,7 @@ TEST(LockFreeStateIndexMap, MaxStatesPerShardCapThrowsStateCapacityError) {
   EXPECT_EQ(map.size(), 4u);
 }
 
-TEST(LockFreeStateIndexMap, BloomFrontShortCircuitsAbsentProbes) {
-  Map2 map;
-  for (std::uint64_t i = 0; i < 4000; ++i) map.insert(make_state(i, i));
-  map.quiescent_maintain();  // builds/rebuilds the Bloom front
-  const std::size_t before = map.store_stats().bloom_negatives;
-  std::size_t misses = 0;
-  for (std::uint64_t i = 100000; i < 104000; ++i) {
-    if (map.find(make_state(i, i)) == Map2::kEmpty) ++misses;
-  }
-  EXPECT_EQ(misses, 4000u);
-  // Most absent probes never reach the slot table (2 Bloom bits/key, sized
-  // toward 16 bits per state => low single-digit % false positives).
-  EXPECT_GT(map.store_stats().bloom_negatives - before, 3500u);
-  // And presence is unaffected.
-  for (std::uint64_t i = 0; i < 4000; i += 97) {
-    EXPECT_NE(map.find(make_state(i, i)), Map2::kEmpty);
-  }
-}
-
-TEST(LockFreeStateIndexMap, MemoryAccountingCoversSlotsArenaAndBloom) {
+TEST(LockFreeStateIndexMap, MemoryAccountingCoversSlotsAndArena) {
   Map2 map(16);
   const std::size_t before = map.memory_bytes();
   for (std::uint64_t i = 0; i < 10000; ++i) map.insert(make_state(i, i));
@@ -382,18 +364,31 @@ TEST(LockFreeStateIndexMap, MemoryAccountingCoversSlotsArenaAndBloom) {
   EXPECT_GE(map.memory_bytes(), 10000 * sizeof(Map2::State));
 }
 
-TEST(LockFreeStateIndexMap, MaintainGrowsForExpectedHeadroom) {
+// One growth path: the maintain step never pre-sizes the probe tables,
+// whatever headroom its caller passes. A later 59,000-state wave then grows
+// every shard inline and assigns the ids a serial reference store assigns.
+TEST(LockFreeStateIndexMap, MaintainLeavesGrowthToInsert) {
   Map2 map(4, 64);
-  for (std::uint64_t i = 0; i < 50; ++i) map.insert(make_state(i, i));
-  map.quiescent_maintain(/*expected_new_states=*/100000);
+  ShardedStateIndexMap<2> reference(4);
+  for (std::uint64_t i = 0; i < 50; ++i) {
+    const auto s = make_state(i, i);
+    ASSERT_EQ(map.insert(s).first, reference.insert(s).first);
+  }
   const std::size_t slots = map.memory_breakdown().slots;
-  EXPECT_GE(slots, 2 * 100000 * sizeof(std::uint64_t));  // ~50% load after the level
-  // The level now fits without growing any table.
+  map.quiescent_maintain(100000);
+  EXPECT_EQ(map.memory_breakdown().slots, slots);
   for (std::uint64_t i = 1000; i < 60000; ++i) {
-    map.insert(make_state(i, i * 3));
+    const auto s = make_state(i, i * 3);
+    const auto [id, fresh] = map.insert(s);
+    ASSERT_TRUE(fresh) << "i=" << i;
+    ASSERT_EQ(id, reference.insert(s).first) << "i=" << i;
   }
   EXPECT_EQ(map.size(), 50u + 59000u);
-  EXPECT_EQ(map.memory_breakdown().slots, slots);
+  EXPECT_GT(map.memory_breakdown().slots, slots);
+  for (std::uint64_t i = 1000; i < 60000; i += 101) {
+    const auto s = make_state(i, i * 3);
+    ASSERT_EQ(map.find(s), reference.find(s)) << "i=" << i;
+  }
 }
 
 }  // namespace
